@@ -1026,7 +1026,9 @@ class FabricWorker:
                     # must reclaim and re-dispatch.
                     self._mute.set()
                 if self.trace_cache is not None:
-                    payload = (*payload[:4], str(self.trace_cache))
+                    # The cache directory is the payload's last
+                    # element (see parallel.run_cell).
+                    payload = (*payload[:-1], str(self.trace_cache))
                 try:
                     result = run_cell(payload)
                 except _SeverConnection:

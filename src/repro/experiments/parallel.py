@@ -22,7 +22,9 @@ Design constraints, in priority order:
 3. **Cheap workers.**  Workers regenerate (or, with a trace cache
    directory, deserialize) traces on first use and memoize them per
    process; a worker simulating 7 protocols of one workload pays for
-   its trace once.
+   its trace once.  Like the serial path, they generate every trace
+   against the context's base config, never a sweep variant's, so a
+   variant simulates the same trace serially and in parallel.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def cell_fingerprint(cell: "Cell", sanitize: bool = False) -> str:
 # ----------------------------------------------------------------------
 
 #: Per-process trace memo: (workload, geometry fp, seed, ops_scale) ->
-#: list of ops.  Lives in the worker process; each worker pays trace
+#: Trace.  Lives in the worker process; each worker pays trace
 #: acquisition once per workload, however many cells it simulates.
 _worker_traces: dict = {}
 
@@ -126,15 +128,17 @@ def _worker_trace(workload: str, cfg: SystemConfig, seed: int,
 def run_cell(payload):
     """Simulate one cell in a worker process.
 
-    ``payload`` is ``(cell, seed, ops_scale, sanitize, cache_dir)``;
-    module-level so it pickles by reference under the default
+    ``payload`` is ``(cell, trace_cfg, seed, ops_scale, sanitize,
+    cache_dir)``, where ``trace_cfg`` is the context's base config the
+    trace is generated against (``cell.cfg`` is what it is simulated
+    on); module-level so it pickles by reference under the default
     start methods.
     """
-    cell, seed, ops_scale, sanitize, cache_dir = payload
+    cell, trace_cfg, seed, ops_scale, sanitize, cache_dir = payload
     from repro.core.sanitizer import CoherenceViolation
     from repro.engine.simulator import simulate
 
-    trace = _worker_trace(cell.workload, cell.cfg, seed, ops_scale,
+    trace = _worker_trace(cell.workload, trace_cfg, seed, ops_scale,
                           cache_dir)
     try:
         return simulate(
@@ -178,6 +182,9 @@ class SweepExecutor:
     :attr:`failed` instead of aborting the sweep.
     """
 
+    #: The context's base config: every cell's trace is generated
+    #: against it, as in :meth:`ExperimentContext.trace`.
+    trace_cfg: SystemConfig
     jobs: int = 1
     seed: int = 1
     ops_scale: float = 1.0
@@ -281,8 +288,8 @@ class SweepExecutor:
         cells = list(cells)
         self.cells_run += len(cells)
         payloads = [
-            (cell, self.seed, self.ops_scale, self.sanitize,
-             self.trace_cache_dir)
+            (cell, self.trace_cfg, self.seed, self.ops_scale,
+             self.sanitize, self.trace_cache_dir)
             for cell in cells
         ]
         if self.distributed and cells:

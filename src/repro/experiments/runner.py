@@ -22,6 +22,7 @@ from repro.core.registry import PROTOCOLS
 from repro.core.sanitizer import CoherenceViolation
 from repro.engine.simulator import simulate
 from repro.experiments.parallel import Cell, SweepExecutor, cell_key
+from repro.trace.stream import Trace
 from repro.trace.workloads import FIGURE_ORDER, WORKLOADS
 
 #: Display labels for figure columns, in the paper's legend wording.
@@ -119,8 +120,8 @@ class ExperimentContext:
         #: Shared by every driver using this context.
         self._results: dict = {}
         self._executor = SweepExecutor(
-            jobs=self.jobs, seed=seed, ops_scale=ops_scale,
-            sanitize=sanitize,
+            trace_cfg=self.cfg, jobs=self.jobs, seed=seed,
+            ops_scale=ops_scale, sanitize=sanitize,
             trace_cache_dir=(str(self.trace_cache.root)
                              if self.trace_cache is not None else None),
             cell_timeout=cell_timeout, max_retries=max_retries,
@@ -135,13 +136,15 @@ class ExperimentContext:
         """Release executor resources (dismisses a distributed fleet)."""
         self._executor.close()
 
-    def trace(self, workload: str) -> list:
+    def trace(self, workload: str) -> Trace:
         """Generate (or fetch the cached) trace for a workload.
 
         Traces depend only on the context's base config (line/page
         geometry and the reference cache sizes the generators scale
         against), so sensitivity sweeps can reuse them across platform
-        variants.
+        variants; parallel workers are handed the same base config.
+        The :class:`Trace` itself is memoized, so the columns a
+        vectorized run builds are built once per workload.
         """
         if workload not in self._traces:
             if self.trace_cache is not None:
@@ -149,10 +152,8 @@ class ExperimentContext:
                     workload, self.cfg, self.seed, self.ops_scale
                 )
             else:
-                spec = WORKLOADS[workload]
-                self._traces[workload] = list(
-                    spec.generate(self.cfg, seed=self.seed,
-                                  ops_scale=self.ops_scale)
+                self._traces[workload] = WORKLOADS[workload].generate(
+                    self.cfg, seed=self.seed, ops_scale=self.ops_scale
                 )
         return self._traces[workload]
 

@@ -147,8 +147,11 @@ def write_run_manifest(out_dir, *, experiments, settings: dict,
     """Sweep-level index: which experiments ran, with what settings,
     and which cell manifests they produced.  Deliberately excludes
     wall-clock times and the job count so serial and parallel runs of
-    the same sweep write identical bytes."""
-    write_json(Path(out_dir) / "run.json", {
+    the same sweep write identical bytes.  Creates ``out_dir`` when no
+    cell manifest did (a sweep whose cells all ran in sub-contexts)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "run.json", {
         "schema": SCHEMA,
         "experiments": list(experiments),
         "settings": settings,

@@ -7,14 +7,17 @@ engine (:mod:`repro.engine.vectorized`) instead consumes the whole
 trace as a handful of numpy arrays, one per field, and classifies ops
 with array predicates.
 
-:class:`BatchTrace` holds exactly the raw trace columns.  The binary
-trace cache (:mod:`repro.trace.cache`) packs each op as 18 bytes of
-``<BQBBHBI>`` — (op, address, gpu, gpm, cta, scope, size) — which is
-precisely a packed numpy structured dtype, so :meth:`from_payload`
-decodes a cached trace into columns with a single ``np.frombuffer``
-and seven column copies, never materializing a ``MemOp``.
-:meth:`from_ops` is the fallback for traces that only exist as op
-lists (freshly generated, hand-built in tests).
+:class:`BatchTrace` holds exactly the raw trace columns, and
+:data:`OP_DTYPE` is the one definition of the packed op format the
+binary trace cache (:mod:`repro.trace.cache`) stores: 18 bytes per op,
+(op, address, gpu, gpm, cta, scope, size).  :meth:`to_payload` packs
+the columns into it with one ``tobytes()``; :meth:`from_payload`
+decodes a cached trace back into columns with a single
+``np.frombuffer`` and seven column copies.  A cached trace therefore
+loads as columns only; :meth:`to_ops` builds its ``MemOp`` list when a
+scalar engine first iterates it (:class:`repro.trace.stream.Trace`
+calls it lazily).  :meth:`from_ops` goes the other way, for traces that
+only exist as op lists (freshly generated, hand-built in tests).
 
 Engine-derived columns (line indices, home mappings, epoch segment
 boundaries) are *not* stored here: they depend on the platform
@@ -26,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Packed layout of one cached op — must mirror
-#: ``repro.trace.cache._OP`` (``struct.Struct("<BQBBHBI")``, 18 bytes).
+#: Packed little-endian layout of one op: kind u8, address u64, gpu u8,
+#: gpm u8, cta u16, scope u8, size u32 (18 bytes, no padding).
 OP_DTYPE = np.dtype({
     "names": ["op", "address", "gpu", "gpm", "cta", "scope", "size"],
     "formats": ["u1", "<u8", "u1", "u1", "<u2", "u1", "<u4"],
@@ -80,6 +83,26 @@ class BatchTrace:
             size=raw["size"].astype(np.int64),
         )
 
+    def to_payload(self) -> bytes:
+        """Pack the columns into :data:`OP_DTYPE` records.
+
+        Raises ``ValueError`` when a value does not fit its field, so a
+        trace is never stored silently truncated.
+        """
+        packed = np.empty(len(self), dtype=OP_DTYPE)
+        columns = (self.kind, self.address, self.gpu, self.gpm, self.cta,
+                   self.scope, self.size)
+        for name, column in zip(OP_DTYPE.names, columns):
+            limits = np.iinfo(OP_DTYPE[name])
+            if column.size and (column.min() < limits.min
+                                or column.max() > limits.max):
+                raise ValueError(
+                    f"op field {name!r} outside the packed format's "
+                    f"range [{limits.min}, {limits.max}]"
+                )
+            packed[name] = column
+        return packed.tobytes()
+
     @classmethod
     def from_ops(cls, ops) -> "BatchTrace":
         """Build columns from a sequence of :class:`MemOp` (fallback for
@@ -94,14 +117,45 @@ class BatchTrace:
         size = np.fromiter((op.size for op in ops), np.int64, count=n)
         return cls(kind, address, gpu, gpm, cta, scope, size)
 
+    def to_ops(self) -> list:
+        """One :class:`MemOp` per op, in trace order.
+
+        Enum members come from lookup tables and every op of one GPM
+        shares a single :class:`NodeId`, so the only per-op Python work
+        is the ``MemOp`` constructor itself.  Kinds and scopes must be
+        valid enum values (the trace cache checks them on load).
+        """
+        from repro.core.types import MemOp, NodeId, OpType, Scope
+
+        def table(values):
+            lookup = np.empty(max(values) + 1, dtype=object)
+            for value in values:
+                lookup[value] = value
+            return lookup
+
+        flat = self.gpu * 256 + self.gpm
+        gpms, which = np.unique(flat, return_inverse=True)
+        nodes = np.empty(gpms.size, dtype=object)
+        for i, f in enumerate(gpms.tolist()):
+            nodes[i] = NodeId(f >> 8, f & 0xFF)
+        return list(map(
+            MemOp,
+            table(list(OpType))[self.kind].tolist(),
+            self.address.tolist(),
+            nodes[which].tolist(),
+            self.cta.tolist(),
+            table(list(Scope))[self.scope].tolist(),
+            self.size.tolist(),
+        ))
+
 
 def as_batch(trace) -> BatchTrace:
     """Columnar view of ``trace``, memoized on the trace object.
 
     Accepts a :class:`BatchTrace` (returned as-is), a
     :class:`repro.trace.stream.Trace` (columns cached on the instance —
-    traces loaded from the binary cache arrive with the columns already
-    decoded), or any sequence of :class:`MemOp`.
+    traces loaded from the binary cache are columns from the start), or
+    any sequence of :class:`MemOp`.
     """
     if isinstance(trace, BatchTrace):
         return trace

@@ -6,8 +6,8 @@ and the trace-length multiplier.  Regenerating the same trace for every
 driver invocation (and in every parallel worker) is therefore wasted
 work — a sweep at production scale spends minutes in numpy before the
 first op is simulated.  :class:`TraceCache` persists each generated
-trace to disk in a compact struct-packed format so later runs (and
-sibling worker processes) deserialize instead of resynthesize.
+trace to disk in a compact packed format so later runs (and sibling
+worker processes) deserialize instead of resynthesize.
 
 Format (little-endian)::
 
@@ -15,15 +15,22 @@ Format (little-endian)::
     version H    format revision (bump on any layout change)
     hlen    I    length of the JSON metadata blob
     header  ...  JSON: name/footprint_bytes/kernels/meta/ops + cache key
-    ops     ...  ops * 18 bytes, each <BQBBHBI>
-                 (op, address, gpu, gpm, cta, scope, size)
+    ops     ...  ops * 18 bytes, each one repro.trace.batch.OP_DTYPE
+                 record (op, address, gpu, gpm, cta, scope, size)
     crc     I    zlib.crc32 of the packed op payload
+
+The op payload is the trace's columns packed with one ``tobytes()``
+and loads back as columns with one ``np.frombuffer``
+(:class:`~repro.trace.batch.BatchTrace`): a loaded
+:class:`~repro.trace.stream.Trace` builds its ``MemOp`` list only if a
+scalar engine iterates it.
 
 Robustness: files are written atomically (tmp + ``os.replace``), and
 :meth:`TraceCache.load` answers ``None`` — after a ``warnings.warn`` —
 for anything it cannot fully validate (bad magic, foreign version,
-truncated payload, CRC mismatch, key mismatch from a hash collision).
-A corrupt cache can cost regeneration time but never wrong results.
+truncated payload, CRC mismatch, key mismatch from a hash collision,
+an op with an unknown kind or scope or a zero size).  A corrupt cache
+can cost regeneration time but never wrong results.
 """
 
 from __future__ import annotations
@@ -37,22 +44,31 @@ import zlib
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.types import MemOp, NodeId, OpType, Scope
+import numpy as np
+
+from repro.core.types import OpType, Scope
+from repro.trace.batch import OP_DTYPE, BatchTrace, as_batch
 from repro.trace.stream import Trace
 
 MAGIC = b"RTRC"
 FORMAT_VERSION = 1
 
-#: One packed op: kind u8, address u64, gpu u8, gpm u8, cta u16,
-#: scope u8, size u32.
-_OP = struct.Struct("<BQBBHBI")
 _HEAD = struct.Struct("<4sHI")
 
-_OP_KINDS = {int(k) for k in OpType}
-_SCOPES = {int(s) for s in Scope}
+
+def _valid(values) -> np.ndarray:
+    """Lookup table over a one-byte field: True at each valid value."""
+    table = np.zeros(256, dtype=bool)
+    table[[int(v) for v in values]] = True
+    return table
+
+
+_KIND_OK = _valid(OpType)
+_SCOPE_OK = _valid(Scope)
 
 #: SystemConfig fields trace generation actually reads: topology, the
-#: line/page geometry, and the capacities the synthetic working sets
+#: line/page geometry, the directory-entry granularity the sharing
+#: patterns align to, and the capacities the synthetic working sets
 #: scale against.  Latencies, bandwidths and message sizes shape the
 #: *simulation* of a trace, never its contents, and deliberately do not
 #: invalidate cached traces.
@@ -60,7 +76,7 @@ _GEOMETRY_FIELDS = (
     "num_gpus", "gpms_per_gpu", "sms_per_gpm", "max_warps_per_sm",
     "line_size", "page_size",
     "l1_bytes_per_sm", "l1_slices_per_gpm", "l1_ways",
-    "l2_bytes_per_gpu", "l2_ways",
+    "l2_bytes_per_gpu", "l2_ways", "dir_lines_per_entry",
     "dram_bytes_per_gpu", "scale",
 )
 
@@ -85,8 +101,22 @@ class TraceCacheError(ValueError):
     :meth:`TraceCache.load` converts it into a warning + ``None``)."""
 
 
+def _check_ops(batch: BatchTrace) -> None:
+    """Reject the first op with an unknown kind or scope, or a zero
+    size (which ``MemOp`` would refuse)."""
+    bad_enum = ~(_KIND_OK[batch.kind] & _SCOPE_OK[batch.scope])
+    bad = np.flatnonzero(bad_enum | (batch.size == 0))
+    if not bad.size:
+        return
+    i = int(bad[0])
+    if bad_enum[i]:
+        raise TraceCacheError(f"op {i}: invalid kind/scope "
+                              f"({batch.kind[i]}, {batch.scope[i]})")
+    raise TraceCacheError(f"op {i}: size 0 is not positive")
+
+
 class TraceCache:
-    """Directory of struct-packed trace files keyed by :func:`trace_key`."""
+    """Directory of packed trace files keyed by :func:`trace_key`."""
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
@@ -114,14 +144,9 @@ class TraceCache:
             "footprint_bytes": trace.footprint_bytes,
             "kernels": trace.kernels,
             "meta": trace.meta,
-            "ops": len(trace.ops),
+            "ops": len(trace),
         }).encode()
-        pack = _OP.pack
-        payload = bytearray()
-        for op in trace.ops:
-            node = op.node
-            payload += pack(int(op.op), op.address, node.gpu, node.gpm,
-                            op.cta, int(op.scope), op.size)
+        payload = as_batch(trace).to_payload()
         target = self.path(workload, cfg, seed, ops_scale)
         # Per-process tmp name: parallel workers may race to populate
         # the same key; each writes its own tmp and the os.replace()s
@@ -131,7 +156,7 @@ class TraceCache:
             fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
             fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(bytes(payload))))
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
         os.replace(tmp, target)
         return target
 
@@ -162,43 +187,24 @@ class TraceCache:
         if not isinstance(count, int) or count < 0:
             raise TraceCacheError(f"bad op count {count!r}")
         start = _HEAD.size + hlen
-        need = count * _OP.size + 4
+        need = count * OP_DTYPE.itemsize + 4
         if len(raw) - start != need:
             raise TraceCacheError(
                 f"payload is {len(raw) - start} bytes, expected {need}"
             )
-        payload = raw[start:start + count * _OP.size]
-        (crc,) = struct.unpack_from("<I", raw, start + count * _OP.size)
+        payload = raw[start:start + need - 4]
+        (crc,) = struct.unpack_from("<I", raw, start + need - 4)
         if zlib.crc32(payload) != crc:
             raise TraceCacheError("payload CRC mismatch")
-        ops = []
-        append = ops.append
-        for kind, address, gpu, gpm, cta, scope, size in \
-                _OP.iter_unpack(payload):
-            if kind not in _OP_KINDS or scope not in _SCOPES:
-                raise TraceCacheError(
-                    f"op {len(ops)}: invalid kind/scope "
-                    f"({kind}, {scope})"
-                )
-            append(MemOp(OpType(kind), address, NodeId(gpu, gpm),
-                         cta=cta, scope=Scope(scope), size=size))
-        trace = Trace(
+        batch = BatchTrace.from_payload(payload, count)
+        _check_ops(batch)
+        return Trace(
             name=header.get("name", "trace"),
-            ops=ops,
+            batch=batch,
             footprint_bytes=header.get("footprint_bytes", 0),
             kernels=header.get("kernels", 0),
             meta=header.get("meta", {}) or {},
         )
-        # The packed payload is already the vectorized engine's columnar
-        # layout; decode it once here so batch consumers skip the
-        # per-MemOp fallback path entirely.
-        try:
-            from repro.trace.batch import BatchTrace
-
-            trace._batch = BatchTrace.from_payload(payload, count)
-        except ImportError:  # numpy-free installs still get scalar runs
-            pass
-        return trace
 
     def load(self, workload: str, cfg, seed: int,
              ops_scale: float) -> Optional[Trace]:

@@ -6,34 +6,63 @@ machine-wide interleaving of all GPMs' memory operations: per-GPM
 streams are merged round-robin, which approximates the GPMs executing
 concurrently at equal rates (all micro-scheduling is abstracted by the
 timing engines anyway).
+
+A trace holds its ops in one of two forms.  Generated and hand-built
+traces start as a ``MemOp`` list.  Traces loaded from the binary trace
+cache start as :class:`~repro.trace.batch.BatchTrace` columns, which is
+all the vectorized engine reads; their ``MemOp`` list is built once,
+on the first access to :attr:`Trace.ops`, iteration or indexing.
+``len()`` never builds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.types import MemOp, OpType
 
 
-@dataclass
 class Trace:
-    """A named, replayable op sequence."""
+    """A named, replayable op sequence.
 
-    name: str
-    ops: list
-    footprint_bytes: int = 0
-    kernels: int = 0
-    meta: dict = field(default_factory=dict)
+    Built from ``ops`` (a ``MemOp`` list) or from ``batch`` (columns);
+    see the module docstring.
+    """
+
+    def __init__(self, name: str, ops: list = None,
+                 footprint_bytes: int = 0, kernels: int = 0,
+                 meta: dict = None, batch=None):
+        if ops is None and batch is None:
+            raise ValueError("a trace needs ops or columns")
+        self.name = name
+        self.footprint_bytes = footprint_bytes
+        self.kernels = kernels
+        self.meta = {} if meta is None else meta
+        self._ops = ops
+        #: Columnar form (:class:`repro.trace.batch.BatchTrace`): given
+        #: by the cache loader, or memoized by ``as_batch()``.
+        self._batch = batch
+
+    @property
+    def ops(self) -> list:
+        """The ``MemOp`` list, built from the columns on first use."""
+        if self._ops is None:
+            self._ops = self._batch.to_ops()
+        return self._ops
 
     def __iter__(self) -> Iterator[MemOp]:
         return iter(self.ops)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        if self._ops is None:
+            return len(self._batch)
+        return len(self._ops)
 
     def __getitem__(self, index):
         return self.ops[index]
+
+    def __repr__(self) -> str:
+        return f"Trace({self.name!r}, {len(self)} ops)"
 
     @property
     def loads(self) -> int:
@@ -62,7 +91,7 @@ class Trace:
     def describe(self) -> str:
         """One-line summary: ops, mix, kernels, footprint."""
         return (
-            f"Trace {self.name!r}: {len(self.ops)} ops "
+            f"Trace {self.name!r}: {len(self)} ops "
             f"({self.loads} loads, {self.stores} stores, "
             f"{self.synchronizing_ops} sync), "
             f"{self.kernels} kernels, "

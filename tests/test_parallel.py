@@ -135,8 +135,8 @@ class TestWorkerPlumbing:
     def test_run_cell_matches_context_run(self):
         from repro.experiments.parallel import run_cell
 
-        direct = run_cell((Cell("CoMD", "hmg", CFG), 1, 0.05, False,
-                           None))
+        direct = run_cell((Cell("CoMD", "hmg", CFG), CFG, 1, 0.05,
+                           False, None))
         via_ctx = ExperimentContext(CFG, **QUICK).run("CoMD", "hmg")
         assert direct.cycles == via_ctx.cycles
         assert direct.ops == via_ctx.ops
@@ -179,6 +179,48 @@ class TestCli:
                         str(cache_dir), "--jobs", "2")
         assert list(cache_dir.glob("*.trc"))
         assert out  # ran to completion
+
+
+class TestSweepVariants:
+    """Sweeps whose variants change a field trace generation reads
+    (fig13: L2 size; granularity: lines per directory entry) must
+    simulate the base config's traces under ``--jobs`` too."""
+
+    SWEEPS = ("fig13", "granularity")
+
+    def _run(self, root, capsys, *extra):
+        args = [*self.SWEEPS, "--scale", str(1 / 64), "--ops-scale",
+                "0.05", "--workloads", *WORKLOADS, "--journal",
+                str(root / "journal"), *extra]
+        assert cli.main(args) == 0
+        out = "\n".join(
+            line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(tuple(f"[{s}:" for s in self.SWEEPS)))
+        results = {}
+        for path in sorted((root / "journal" / "results").glob("*.json")):
+            record = json.loads(path.read_text())
+            record.pop("elapsed")  # wall clock
+            results[path.name] = record
+        return (out, (root / "journal" / "cells.jsonl").read_bytes(),
+                results)
+
+    def test_jobs_and_trace_cache_do_not_change_output(self, tmp_path,
+                                                       capsys):
+        serial = self._run(tmp_path / "serial", capsys)
+        assert set(serial[2]) == {f"{s}.json" for s in self.SWEEPS}
+        for label, extra in (
+                ("jobs", ["--jobs", "2"]),
+                ("cached", ["--trace-cache", str(tmp_path / "tc1")]),
+                ("cached-jobs", ["--jobs", "2", "--trace-cache",
+                                 str(tmp_path / "tc2")])):
+            assert self._run(tmp_path / label, capsys, *extra) == serial, \
+                label
+        # Workers cached the base config's traces, no variant's.
+        from repro.trace.cache import TraceCache
+
+        cache = TraceCache(tmp_path / "tc2")
+        assert {p.name for p in cache.root.glob("*.trc")} <= {
+            cache.path(w, CFG, 1, 0.05).name for w in WORKLOADS}
 
 
 class TestJournalContents:

@@ -231,6 +231,25 @@ class TestManifests:
         for slug in run["cells"]:
             assert (out / f"{slug}.metrics.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["mca", "scaleout",
+                                            "singlegpu"])
+    def test_run_manifest_for_sub_context_experiments(self, tmp_path,
+                                                      capsys,
+                                                      experiment):
+        """These run all their cells in sub-contexts, so no cell
+        manifest creates the telemetry directory before run.json."""
+        from repro.experiments import cli
+
+        out = tmp_path / "tel"
+        rc = cli.main([experiment, "--scale", str(1 / 64),
+                       "--ops-scale", "0.05",
+                       "--workloads", "CoMD",
+                       "--telemetry", str(out),
+                       "--registry", str(tmp_path / "reg")])
+        assert rc == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["experiments"] == [experiment]
+
 
 class TestSweepProgress:
     class _Stream:

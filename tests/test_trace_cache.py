@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
+import zlib
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import ConfigError, SystemConfig
+from repro.core.types import MemOp, NodeId, OpType, Scope
 from repro.trace.cache import (
     FORMAT_VERSION,
     MAGIC,
@@ -83,6 +86,41 @@ class TestKeys:
         assert cache.load("CoMD", slow, 1, 0.05) is not None
 
 
+def _changed(value):
+    """A different value of one config field's type (nested configs
+    change every numeric field)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value * 2
+    return dataclasses.replace(value, **{
+        f.name: _changed(getattr(value, f.name))
+        for f in dataclasses.fields(value)
+    })
+
+
+class TestKeyCoversGeneration:
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(SystemConfig)])
+    def test_field_change_keeps_trace_or_key(self, field):
+        """Changing any config field either leaves the generated traces
+        identical or changes the cache key, so a cached trace never
+        stands in for a different one."""
+        try:
+            other = CFG.replace(**{field: _changed(getattr(CFG, field))})
+        except ConfigError:  # doubling breaks a divisibility rule
+            value = getattr(CFG, field)
+            other = CFG.replace(**{field: value // 2})
+        for workload in ("mst", "bfs"):
+            if trace_key(workload, other, 1, 0.05) != \
+                    trace_key(workload, CFG, 1, 0.05):
+                continue
+            a = _generate(workload)
+            b = WORKLOADS[workload].generate(other, **ARGS)
+            assert (b.ops, b.footprint_bytes, b.kernels, b.meta) == \
+                (a.ops, a.footprint_bytes, a.kernels, a.meta), workload
+
+
 class TestCorruption:
     def _stored(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -129,6 +167,96 @@ class TestCorruption:
         assert trace.ops == _generate().ops
         # ...and the overwrite repaired the cache file.
         assert cache.load("CoMD", CFG, 1, 0.05) is not None
+
+
+def _reference_payload(trace) -> bytes:
+    """The op payload packed one op at a time, independently of the
+    cache's columnar packing."""
+    packer = struct.Struct("<BQBBHBI")
+    return b"".join(
+        packer.pack(int(op.op), op.address, op.node.gpu, op.node.gpm,
+                    op.cta, int(op.scope), op.size)
+        for op in trace.ops
+    )
+
+
+def _payload_span(raw: bytes) -> tuple:
+    """(start, end) of the op payload inside a cache file."""
+    hlen = struct.unpack_from("<4sHI", raw)[2]
+    return 10 + hlen, len(raw) - 4
+
+
+class TestColumnsFirst:
+    """Cached traces load as columns; MemOps exist only on demand."""
+
+    def test_vectorized_runs_build_no_memop(self, tmp_path, monkeypatch):
+        from repro.engine.simulator import simulate
+        from repro.engine.vectorized import VECTORIZED_PROTOCOLS
+
+        cache = TraceCache(tmp_path)
+        trace = _generate()
+        cache.store("CoMD", CFG, 1, 0.05, trace)
+        built = []
+        init = MemOp.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MemOp, "__init__", counting_init)
+        loaded = cache.load("CoMD", CFG, 1, 0.05)
+        assert len(loaded) == len(trace.ops)
+        for protocol in sorted(VECTORIZED_PROTOCOLS):
+            result = simulate(loaded, CFG, protocol=protocol,
+                              engine="vectorized", workload_name="CoMD")
+            assert result.engine_used == "vectorized"
+            assert result.ops == len(trace.ops)
+        assert not built
+        # A scalar pass builds every op once; later passes reuse them.
+        assert list(loaded) == trace.ops
+        assert loaded[0] is next(iter(loaded))
+        assert len(built) == len(trace.ops)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_lazy_ops_and_payload_match(self, tmp_path, workload):
+        cache = TraceCache(tmp_path)
+        trace = WORKLOADS[workload].generate(CFG, seed=1, ops_scale=0.02)
+        path = cache.store(workload, CFG, 1, 0.02, trace)
+        raw = path.read_bytes()
+        start, end = _payload_span(raw)
+        assert raw[start:end] == _reference_payload(trace)
+        loaded = cache.load(workload, CFG, 1, 0.02)
+        assert loaded.ops == trace.ops
+        # Enum and NodeId fields compare equal to plain ints and tuples;
+        # the built ops must carry the real types.
+        assert {(type(op.op), type(op.scope), type(op.node))
+                for op in loaded.ops} == {(OpType, Scope, NodeId)}
+
+    def test_store_rejects_unpackable_op(self, tmp_path):
+        trace = _generate()
+        trace.ops.append(MemOp(OpType.LOAD, 0, NodeId(0, 0), cta=1 << 16))
+        with pytest.raises(ValueError, match="'cta'"):
+            TraceCache(tmp_path).store("CoMD", CFG, 1, 0.05, trace)
+
+    @pytest.mark.parametrize("offset,patch,message", [
+        (0, bytes([9]), r"op 7: invalid kind/scope \(9, "),
+        (13, bytes([5]), r"op 7: invalid kind/scope \(\d, 5\)"),
+        (14, struct.pack("<I", 0), r"op 7: size 0 is not positive"),
+    ])
+    def test_invalid_op_warns_and_misses(self, tmp_path, offset, patch,
+                                         message):
+        """A bad field in op 7 (kind, scope or size), under a valid CRC."""
+        cache = TraceCache(tmp_path)
+        cache.store("CoMD", CFG, 1, 0.05, _generate())
+        path = cache.path("CoMD", CFG, 1, 0.05)
+        raw = bytearray(path.read_bytes())
+        start, end = _payload_span(raw)
+        at = start + 7 * 18 + offset
+        raw[at:at + len(patch)] = patch
+        raw[end:] = struct.pack("<I", zlib.crc32(bytes(raw[start:end])))
+        path.write_bytes(bytes(raw))
+        with pytest.warns(RuntimeWarning, match=message):
+            assert cache.load("CoMD", CFG, 1, 0.05) is None
 
 
 class TestContextIntegration:

@@ -180,11 +180,13 @@ class TestBatchDecode:
 
     def test_payload_matches_from_ops(self, grid_cfg):
         ops = _fuzz_trace(grid_cfg, 11, n_ops=400)
-        from repro.trace.cache import _OP
+        # An independent reference packing of the cache's op format.
+        import struct
 
+        packer = struct.Struct("<BQBBHBI")
         payload = b"".join(
-            _OP.pack(int(op.op), op.address, op.node.gpu, op.node.gpm,
-                     op.cta, int(op.scope), op.size)
+            packer.pack(int(op.op), op.address, op.node.gpu, op.node.gpm,
+                        op.cta, int(op.scope), op.size)
             for op in ops
         )
         a = BatchTrace.from_payload(payload, len(ops))
@@ -193,6 +195,8 @@ class TestBatchDecode:
                     "size"):
             np.testing.assert_array_equal(getattr(a, col),
                                           getattr(b, col))
+        assert b.to_payload() == payload
+        assert a.to_ops() == ops
 
     def test_cache_load_attaches_batch(self, grid_cfg, tmp_path):
         from repro.trace.cache import TraceCache
