@@ -17,6 +17,7 @@ from repro.config import SystemConfig
 from repro.core.types import OpType
 from repro.memsys.address import AddressMap
 from repro.memsys.page_table import PageTable, make_placement
+from repro.trace.stream import replayable
 
 
 @dataclass
@@ -54,7 +55,7 @@ def analyze_locality(trace, cfg: SystemConfig, workload: str = "trace",
     table = PageTable(cfg.page_size,
                       make_placement(placement, cfg.num_gpus,
                                      cfg.gpms_per_gpu))
-    ops = trace if isinstance(trace, (list, tuple)) else list(trace)
+    ops = replayable(trace)
 
     # Pass 1: placement + access sets (bitmask of GPMs per (gpu, line)).
     accessors: dict = {}

@@ -136,12 +136,16 @@ def compare(trace, cfg: SystemConfig, protocols: Sequence[str],
             sanitize: bool = False) -> dict:
     """Run the same trace under several protocols.
 
-    Returns ``{protocol_name: SimResult}``.  ``trace`` is materialized
-    once so every protocol sees the identical op sequence.
+    Returns ``{protocol_name: SimResult}``.  A one-shot iterator is
+    collected once so every protocol sees the identical op sequence; a
+    :class:`~repro.trace.stream.Trace` is passed through as it is, so a
+    vectorized run reads its columns without building any ``MemOp``.
     """
-    ops = trace if isinstance(trace, (list, tuple)) else list(trace)
+    from repro.trace.stream import replayable
+
+    trace = replayable(trace)
     return {
-        name: simulate(ops, cfg, protocol=name, engine=engine,
+        name: simulate(trace, cfg, protocol=name, engine=engine,
                        placement=placement, workload_name=workload_name,
                        fault_plan=fault_plan, sanitize=sanitize)
         for name in protocols

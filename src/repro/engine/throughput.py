@@ -125,6 +125,14 @@ class ThroughputEngine:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        # wall_seconds times the loop alone: a column-form trace builds
+        # its op list here, before the clock starts (one-shot iterators
+        # keep streaming).  A local import, as in the simulator: loading
+        # the trace package while the engines import raised peak RSS.
+        from repro.trace.stream import Trace
+
+        if isinstance(trace, Trace):
+            trace = trace.ops
         start = time.perf_counter()
         try:
             if telemetry is not None:

@@ -8,7 +8,7 @@ from repro.trace.generator import (
     register_pattern,
 )
 from repro.trace.io import dump_trace, iter_trace_ops, load_trace
-from repro.trace.stream import Trace, interleave, merge_phases
+from repro.trace.stream import Trace, interleave
 from repro.trace.workloads import (
     FIGURE_ORDER,
     WORKLOADS,
@@ -19,6 +19,6 @@ from repro.trace.workloads import (
 __all__ = [
     "FIGURE_ORDER", "GenContext", "PATTERNS", "Trace", "WORKLOADS",
     "WorkloadSpec", "dump_trace", "get_workload", "interleave",
-    "iter_trace_ops", "load_trace", "merge_phases", "partition",
+    "iter_trace_ops", "load_trace", "partition",
     "register_pattern", "workload_names",
 ]

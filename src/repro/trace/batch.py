@@ -13,11 +13,14 @@ binary trace cache (:mod:`repro.trace.cache`) stores: 18 bytes per op,
 (op, address, gpu, gpm, cta, scope, size).  :meth:`to_payload` packs
 the columns into it with one ``tobytes()``; :meth:`from_payload`
 decodes a cached trace back into columns with a single
-``np.frombuffer`` and seven column copies.  A cached trace therefore
-loads as columns only; :meth:`to_ops` builds its ``MemOp`` list when a
-scalar engine first iterates it (:class:`repro.trace.stream.Trace`
-calls it lazily).  :meth:`from_ops` goes the other way, for traces that
-only exist as op lists (freshly generated, hand-built in tests).
+``np.frombuffer`` and seven column copies.  Trace generation
+(:mod:`repro.trace.generator`) writes these columns directly, so a
+generated or cached trace exists as columns only; :meth:`to_ops` builds
+its ``MemOp`` list when a scalar engine first iterates it
+(:class:`repro.trace.stream.Trace` calls it lazily and then releases the
+columns).  :meth:`from_ops` goes the other way, for traces that exist
+only as op lists: hand-built ones, text-format ones, and traces whose
+columns were released when their ops were built.
 
 Engine-derived columns (line indices, home mappings, epoch segment
 boundaries) are *not* stored here: they depend on the platform
@@ -37,6 +40,10 @@ OP_DTYPE = np.dtype({
     "offsets": [0, 1, 9, 10, 11, 13, 14],
     "itemsize": 18,
 })
+
+
+#: Ops :meth:`BatchTrace.to_ops` converts per step.
+_TO_OPS_CHUNK = 512
 
 
 class BatchTrace:
@@ -124,6 +131,11 @@ class BatchTrace:
         shares a single :class:`NodeId`, so the only per-op Python work
         is the ``MemOp`` constructor itself.  Kinds and scopes must be
         valid enum values (the trace cache checks them on load).
+
+        The list is allocated once at full length and filled 512 ops
+        at a time, so the per-field temporaries stay small and do not
+        fragment the heap under the long-lived op list (a scalar sweep
+        keeps every trace's ops).
         """
         from repro.core.types import MemOp, NodeId, OpType, Scope
 
@@ -138,15 +150,20 @@ class BatchTrace:
         nodes = np.empty(gpms.size, dtype=object)
         for i, f in enumerate(gpms.tolist()):
             nodes[i] = NodeId(f >> 8, f & 0xFF)
-        return list(map(
-            MemOp,
-            table(list(OpType))[self.kind].tolist(),
-            self.address.tolist(),
-            nodes[which].tolist(),
-            self.cta.tolist(),
-            table(list(Scope))[self.scope].tolist(),
-            self.size.tolist(),
-        ))
+        ops = [None] * len(self)
+        kinds, scopes = table(list(OpType)), table(list(Scope))
+        for start in range(0, len(self), _TO_OPS_CHUNK):
+            part = slice(start, start + _TO_OPS_CHUNK)
+            ops[part] = list(map(
+                MemOp,
+                kinds[self.kind[part]].tolist(),
+                self.address[part].tolist(),
+                nodes[which[part]].tolist(),
+                self.cta[part].tolist(),
+                scopes[self.scope[part]].tolist(),
+                self.size[part].tolist(),
+            ))
+        return ops
 
 
 def as_batch(trace) -> BatchTrace:
@@ -154,8 +171,8 @@ def as_batch(trace) -> BatchTrace:
 
     Accepts a :class:`BatchTrace` (returned as-is), a
     :class:`repro.trace.stream.Trace` (columns cached on the instance —
-    traces loaded from the binary cache are columns from the start), or
-    any sequence of :class:`MemOp`.
+    generated traces and traces loaded from the binary cache are columns
+    from the start), or any sequence of :class:`MemOp`.
     """
     if isinstance(trace, BatchTrace):
         return trace

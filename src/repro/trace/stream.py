@@ -3,21 +3,26 @@
 A :class:`Trace` is a replayable sequence of :class:`~repro.core.types.MemOp`
 plus metadata about the workload that produced it.  Traces model the
 machine-wide interleaving of all GPMs' memory operations: per-GPM
-streams are merged round-robin, which approximates the GPMs executing
-concurrently at equal rates (all micro-scheduling is abstracted by the
-timing engines anyway).
+streams are merged round-robin (:func:`interleave_order`), which
+approximates the GPMs executing concurrently at equal rates (all
+micro-scheduling is abstracted by the timing engines anyway).
 
-A trace holds its ops in one of two forms.  Generated and hand-built
-traces start as a ``MemOp`` list.  Traces loaded from the binary trace
-cache start as :class:`~repro.trace.batch.BatchTrace` columns, which is
-all the vectorized engine reads; their ``MemOp`` list is built once,
-on the first access to :attr:`Trace.ops`, iteration or indexing.
-``len()`` never builds it.
+A trace holds its ops in one of two forms.  Generated traces and traces
+loaded from the binary trace cache start as
+:class:`~repro.trace.batch.BatchTrace` columns, which is all the
+vectorized engine reads.  Their ``MemOp`` list is built once, on the
+first access to :attr:`Trace.ops`, iteration or indexing; the columns
+are then released (``as_batch`` rebuilds them if a vectorized engine
+asks later).  Hand-built traces start as a ``MemOp`` list.  ``len()``
+never builds either form.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterator
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.types import MemOp, OpType
 
@@ -40,14 +45,20 @@ class Trace:
         self.meta = {} if meta is None else meta
         self._ops = ops
         #: Columnar form (:class:`repro.trace.batch.BatchTrace`): given
-        #: by the cache loader, or memoized by ``as_batch()``.
+        #: by the generator or the cache loader, or memoized by
+        #: ``as_batch()``.
         self._batch = batch
 
     @property
     def ops(self) -> list:
-        """The ``MemOp`` list, built from the columns on first use."""
+        """The ``MemOp`` list, built from the columns on first use.
+
+        Building it releases the columns, so a trace never holds both
+        forms unless a vectorized engine asks for the columns again.
+        """
         if self._ops is None:
             self._ops = self._batch.to_ops()
+            self._batch = None
         return self._ops
 
     def __iter__(self) -> Iterator[MemOp]:
@@ -99,33 +110,36 @@ class Trace:
         )
 
 
-def interleave(streams: Sequence[Sequence[MemOp]],
-               chunk: int = 4) -> list:
-    """Merge per-GPM op streams round-robin, ``chunk`` ops at a time.
+def interleave_order(lengths: Sequence[int], chunk: int = 4) -> np.ndarray:
+    """Round-robin merge order of per-GPM streams, ``chunk`` ops at a time.
 
-    Round-robin at a small chunk granularity models GPMs progressing at
-    similar rates while keeping each GPM's own program order intact
-    (which the coherence protocols rely on).
+    ``lengths`` are the streams' op counts; the result indexes into the
+    streams' concatenation.  Ops are ordered by round (``pos // chunk``),
+    then stream, then position ``pos`` within the stream, so each
+    stream's own program order stays intact (which the coherence
+    protocols rely on) while the GPMs progress at similar rates.
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    merged: list = []
-    cursors = [0] * len(streams)
-    remaining = sum(len(s) for s in streams)
-    while remaining:
-        for i, stream in enumerate(streams):
-            take = min(chunk, len(stream) - cursors[i])
-            if take <= 0:
-                continue
-            merged.extend(stream[cursors[i]:cursors[i] + take])
-            cursors[i] += take
-            remaining -= take
-    return merged
+    lengths = np.asarray(lengths, dtype=np.int64)
+    stream = np.repeat(np.arange(lengths.size), lengths)
+    pos = np.arange(stream.size) - np.repeat(np.cumsum(lengths) - lengths,
+                                             lengths)
+    # lexsort is stable and the concatenation is already in position
+    # order within each stream, so (round, stream) keys suffice.
+    return np.lexsort((stream, pos // chunk))
 
 
-def merge_phases(phases: Iterable[list]) -> list:
-    """Concatenate already-interleaved kernel phases into one op list."""
-    ops: list = []
-    for phase in phases:
-        ops.extend(phase)
-    return ops
+def interleave(streams: Sequence[Sequence[MemOp]],
+               chunk: int = 4) -> list:
+    """Merge per-GPM op streams in :func:`interleave_order`."""
+    ops = [op for stream in streams for op in stream]
+    order = interleave_order([len(stream) for stream in streams], chunk)
+    return [ops[i] for i in order.tolist()]
+
+
+def replayable(trace):
+    """``trace`` itself, unless it is a one-shot iterator (such as
+    :func:`repro.trace.io.iter_trace_ops`), whose ops are collected into
+    a list so they can be replayed more than once."""
+    return list(trace) if isinstance(trace, Iterator) else trace

@@ -1,5 +1,7 @@
 """Timing engines: throughput accounting, detailed replay, results."""
 
+import time
+
 import pytest
 
 from repro.config import SystemConfig
@@ -7,6 +9,7 @@ from repro.core.types import MsgType, NodeId
 from repro.engine.simulator import compare, simulate, speedups
 from repro.engine.stats import ResourceTimes
 from repro.engine.throughput import ThroughputSink
+from repro.trace.batch import BatchTrace
 from repro.trace.generator import WorkloadSpec
 from repro.trace.workloads import WORKLOADS
 from tests.conftest import N00, N10, ld, st
@@ -100,6 +103,23 @@ class TestSimulate:
     def test_hmg_beats_baseline_on_sharing_workload(self, cfg, trace):
         results = compare(trace, cfg, ["noremote", "hmg"])
         assert speedups(results)["hmg"] > 1.0
+
+    def test_wall_seconds_excludes_building_ops(self, cfg, monkeypatch):
+        """A column-form trace builds its MemOps before the loop's clock
+        starts, so wall_seconds stays loop-only on the first run."""
+        generated = WORKLOADS["CoMD"].generate(cfg, seed=1, ops_scale=0.02)
+        to_ops = BatchTrace.to_ops
+
+        def slow_to_ops(batch):
+            time.sleep(0.5)
+            return to_ops(batch)
+
+        monkeypatch.setattr(BatchTrace, "to_ops", slow_to_ops)
+        start = time.perf_counter()
+        r = simulate(generated, cfg, protocol="hmg")
+        assert time.perf_counter() - start >= 0.5
+        assert r.ops == len(generated)
+        assert r.wall_seconds < 0.5
 
 
 class TestDetailedEngine:

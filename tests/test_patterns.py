@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.types import NodeId, OpType
+from repro.core.types import NodeId, OpType, Scope
+from repro.memsys.address import Region
+from repro.trace.batch import as_batch
 from repro.trace.generator import GenContext, WorkloadSpec
 from repro.trace.patterns import (
     _ColdStream,
@@ -15,13 +17,14 @@ from repro.trace.patterns import (
 )
 
 
+_SPEC = WorkloadSpec(name="t", abbrev="t", suite="t", footprint_mb=1,
+                     pattern="dense_ml", kernels=4,
+                     ops_per_gpm_per_kernel=400)
+
+
 @pytest.fixture
 def ctx():
-    cfg = SystemConfig.paper_scaled(1 / 64)
-    spec = WorkloadSpec(name="t", abbrev="t", suite="t", footprint_mb=1,
-                        pattern="dense_ml", kernels=4,
-                        ops_per_gpm_per_kernel=400)
-    return GenContext(cfg, spec, seed=1)
+    return GenContext(SystemConfig.paper_scaled(1 / 64), _SPEC, seed=1)
 
 
 def make_plan(ctx, **kw):
@@ -100,14 +103,79 @@ class TestSharedRegion:
         plan = make_plan(ctx)
         region = _SharedRegion(ctx, "r5", plan, 1, placement="gpu:2")
         # The init kernel's first-touch stores come from GPU2 only.
-        stores = [op for op in ctx._streams[0:16] for op in op]
         touchers = {
-            op.node.gpu
-            for stream in ctx._streams for op in stream
-            if op.op == OpType.STORE
-            and region.region.contains(op.address)
+            ctx.nodes[flat].gpu
+            for flat, stream in enumerate(ctx._streams)
+            for kind, address in zip(stream.kind, stream.address)
+            if kind == OpType.STORE and region.region.contains(address)
         }
         assert touchers == {2}
+
+
+class TestEmitChecks:
+    """emit and the spans make every check a MemOp made, with its
+    messages, plus the lower bound on the line offset."""
+
+    def test_offset_past_region_end(self, ctx):
+        region = ctx.alloc_lines("e1", 8)
+        with pytest.raises(IndexError,
+                           match="line offset 8 outside region 'e1'"):
+            ctx.emit(ctx.nodes[0], OpType.LOAD, region, 8)
+
+    def test_negative_offset(self, ctx):
+        ctx.alloc_lines("before", 8)
+        region = ctx.alloc_lines("e2", 8)
+        # Offset -1 would address the page below the region.
+        with pytest.raises(IndexError,
+                           match="line offset -1 outside region 'e2'"):
+            ctx.emit(ctx.nodes[0], OpType.LOAD, region, -1)
+
+    def test_negative_address(self, ctx):
+        region = Region("below", -4 * ctx.line, 8 * ctx.line)
+        with pytest.raises(ValueError, match="address must be non-negative"):
+            ctx.emit(ctx.nodes[0], OpType.LOAD, region, 0)
+
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_non_positive_size(self, ctx, size):
+        region = ctx.alloc_lines("e3", 8)
+        with pytest.raises(ValueError, match="size must be positive"):
+            ctx.emit(ctx.nodes[0], OpType.LOAD, region, 0, size=size)
+
+    @pytest.mark.parametrize("span", ["read_span", "write_span"])
+    def test_spans_raise_at_first_bad_op(self, ctx, span):
+        region = ctx.alloc_lines("e4", 8)
+        emit_span = getattr(ctx, span)
+        node = ctx.nodes[0]
+        with pytest.raises(IndexError, match="line offset 8 outside"):
+            emit_span(node, region, 2, 10, stride=2)  # 2, 4, 6, 8, ...
+        with pytest.raises(IndexError, match="line offset -2 outside"):
+            emit_span(node, region, 2, 3, stride=-2)  # 2, 0, -2
+        with pytest.raises(ValueError, match="size must be positive"):
+            emit_span(node, region, 0, 4, size=0)
+        below = Region("below", -4 * ctx.line, 8 * ctx.line)
+        with pytest.raises(ValueError, match="address must be non-negative"):
+            emit_span(node, below, 0, 8)
+
+    @pytest.mark.parametrize("start,count,stride", [
+        (0, 5, 1), (3, 6, 2), (30, 4, -7), (9, 3, 0), (0, 0, 1), (5, -2, 1),
+    ])
+    def test_span_equals_loop_of_emits(self, start, count, stride):
+        def build(use_span):
+            ctx = GenContext(SystemConfig.paper_scaled(1 / 64), _SPEC)
+            region = ctx.alloc_lines("r", 32)
+            node = ctx.nodes[5]
+            if use_span:
+                ctx.read_span(node, region, start, count, stride=stride,
+                              scope=Scope.GPU, size=16)
+                ctx.write_span(node, region, start, count, stride=stride)
+            else:
+                for op, kw in ((OpType.LOAD, dict(scope=Scope.GPU, size=16)),
+                               (OpType.STORE, {})):
+                    for k in range(count):
+                        ctx.emit(node, op, region, start + k * stride, **kw)
+            return as_batch(ctx.finish()).to_payload()
+
+        assert build(True) == build(False)
 
 
 class TestColdStream:
@@ -128,20 +196,20 @@ class TestColdStream:
         seen = set()
         for flat in range(4):
             for kernel in range(3):
-                stream = ctx._streams[flat]
-                before = len(stream)
+                addresses = ctx._streams[flat].address
+                before = len(addresses)
                 cold.emit(ctx, ctx.nodes[flat], flat, kernel)
-                addrs = {op.address for op in stream[before:]}
+                addrs = set(addresses[before:])
                 assert addrs
                 assert not (addrs & seen)  # once-through, never reread
                 seen |= addrs
 
     def test_respects_budget(self, ctx):
         cold = _ColdStream(ctx, self._spec(0.1))
-        before = sum(len(s) for s in ctx._streams)
+        before = sum(len(s.address) for s in ctx._streams)
         cold.emit(ctx, ctx.nodes[0], 0, 0)
-        emitted = sum(len(s) for s in ctx._streams) - before
-        assert emitted <= cold.reads_per_kernel
+        emitted = sum(len(s.address) for s in ctx._streams) - before
+        assert 0 < emitted <= cold.reads_per_kernel
 
 
 class TestSyncPages:

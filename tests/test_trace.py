@@ -1,13 +1,35 @@
 """Trace containers, generators, patterns, the workload catalog."""
 
+import random
+
 import pytest
 
 from repro.config import SystemConfig
 from repro.core.types import MemOp, NodeId, OpType, Scope
-from repro.trace.generator import PATTERNS, WorkloadSpec, partition
-from repro.trace.stream import Trace, interleave, merge_phases
+from repro.trace.batch import as_batch
+from repro.trace.generator import PATTERNS, GenContext, WorkloadSpec, partition
+from repro.trace.stream import Trace, interleave, interleave_order
 from repro.trace.workloads import FIGURE_ORDER, WORKLOADS, get_workload
 from tests.conftest import ld, st
+
+
+def _round_robin(streams, chunk):
+    """Reference merge: ``chunk`` items from each stream in turn."""
+    merged, cursors = [], [0] * len(streams)
+    while any(c < len(s) for c, s in zip(cursors, streams)):
+        for i, stream in enumerate(streams):
+            merged.extend(stream[cursors[i]:cursors[i] + chunk])
+            cursors[i] = min(len(stream), cursors[i] + chunk)
+    return merged
+
+
+def _index_lists(lengths):
+    """Per-stream lists of indices into the streams' concatenation."""
+    out, start = [], 0
+    for n in lengths:
+        out.append(list(range(start, start + n)))
+        start += n
+    return out
 
 
 class TestInterleave:
@@ -29,10 +51,46 @@ class TestInterleave:
         with pytest.raises(ValueError):
             interleave([[]], chunk=0)
 
-    def test_merge_phases(self):
-        p1 = [ld(NodeId(0, 0), 0)]
-        p2 = [st(NodeId(0, 0), 0)]
-        assert merge_phases([p1, p2]) == p1 + p2
+    def test_invalid_chunk_order(self):
+        with pytest.raises(ValueError):
+            interleave_order([3, 2], chunk=0)
+
+    def test_order_matches_round_robin_reference(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            lengths = [rng.randrange(0, 30)
+                       for _ in range(rng.randrange(0, 9))]
+            chunk = rng.randrange(1, 8)
+            streams = _index_lists(lengths)
+            expected = _round_robin(streams, chunk)
+            assert interleave(streams, chunk) == expected
+            assert interleave_order(lengths, chunk).tolist() == expected
+
+    def test_generated_columns_follow_interleave(self):
+        """A kernel's columns come out in interleave() order of the
+        per-GPM streams, whether ops arrive one at a time or in spans."""
+        rng = random.Random(1)
+        cfg = SystemConfig.paper_scaled(1 / 64)
+        spec = WorkloadSpec(name="t", abbrev="t", suite="t",
+                            footprint_mb=1, pattern="dense_ml", kernels=1,
+                            ops_per_gpm_per_kernel=8)
+        for _ in range(20):
+            ctx = GenContext(cfg, spec)
+            region = ctx.alloc_lines("r", 64 * ctx.n_gpms)
+            lengths = [rng.randrange(0, 40) for _ in ctx.nodes]
+            for flat, (node, n) in enumerate(zip(ctx.nodes, lengths)):
+                # Op k of GPM ``flat`` addresses line 64 * flat + k.
+                cut = rng.randrange(0, n + 1)
+                for k in range(cut):
+                    ctx.emit(node, OpType.STORE, region, 64 * flat + k)
+                ctx.read_span(node, region, 64 * flat + cut, n - cut)
+            batch = as_batch(ctx.finish())
+            lines = (batch.address.astype(int) - region.base) // ctx.line
+            assert (batch.gpu * cfg.gpms_per_gpu + batch.gpm).tolist() == \
+                (lines // 64).tolist()
+            got = [sum(lengths[:line // 64]) + line % 64
+                   for line in lines.tolist()]
+            assert got == interleave(_index_lists(lengths), chunk=4)
 
 
 class TestTrace:

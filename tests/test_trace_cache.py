@@ -10,6 +10,7 @@ import pytest
 
 from repro.config import ConfigError, SystemConfig
 from repro.core.types import MemOp, NodeId, OpType, Scope
+from repro.trace.batch import BatchTrace, as_batch
 from repro.trace.cache import (
     FORMAT_VERSION,
     MAGIC,
@@ -180,6 +181,19 @@ def _reference_payload(trace) -> bytes:
     )
 
 
+def _count_memops(monkeypatch) -> list:
+    """A list that grows by one for every MemOp constructed from now on."""
+    built = []
+    init = MemOp.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemOp, "__init__", counting_init)
+    return built
+
+
 def _payload_span(raw: bytes) -> tuple:
     """(start, end) of the op payload inside a cache file."""
     hlen = struct.unpack_from("<4sHI", raw)[2]
@@ -196,26 +210,55 @@ class TestColumnsFirst:
         cache = TraceCache(tmp_path)
         trace = _generate()
         cache.store("CoMD", CFG, 1, 0.05, trace)
-        built = []
-        init = MemOp.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(MemOp, "__init__", counting_init)
+        n = len(trace)
+        built = _count_memops(monkeypatch)
         loaded = cache.load("CoMD", CFG, 1, 0.05)
-        assert len(loaded) == len(trace.ops)
+        assert len(loaded) == n
         for protocol in sorted(VECTORIZED_PROTOCOLS):
             result = simulate(loaded, CFG, protocol=protocol,
                               engine="vectorized", workload_name="CoMD")
             assert result.engine_used == "vectorized"
-            assert result.ops == len(trace.ops)
+            assert result.ops == n
         assert not built
         # A scalar pass builds every op once; later passes reuse them.
-        assert list(loaded) == trace.ops
+        ops = list(loaded)
         assert loaded[0] is next(iter(loaded))
-        assert len(built) == len(trace.ops)
+        assert len(built) == n
+        assert ops == trace.ops
+
+    def test_generate_store_and_vectorized_build_no_memop(
+            self, tmp_path, monkeypatch):
+        """Generation writes columns, store packs them as they are, and
+        every vectorized protocol reads them: no MemOp, no from_ops."""
+        from repro.engine.simulator import compare
+        from repro.engine.vectorized import VECTORIZED_PROTOCOLS
+
+        built = _count_memops(monkeypatch)
+        from_ops = []
+        monkeypatch.setattr(BatchTrace, "from_ops", classmethod(
+            lambda cls, ops: from_ops.append(1)))
+        trace = _generate()
+        TraceCache(tmp_path).store("CoMD", CFG, 1, 0.05, trace)
+        results = compare(trace, CFG, sorted(VECTORIZED_PROTOCOLS),
+                          engine="vectorized", workload_name="CoMD")
+        assert {r.engine_used for r in results.values()} == {"vectorized"}
+        assert {r.ops for r in results.values()} == {len(trace)}
+        assert not built
+        assert not from_ops
+
+    def test_building_ops_releases_columns(self):
+        trace = _generate()
+        columns = as_batch(trace)
+        payload = columns.to_payload()
+        ops = trace.ops
+        assert len(ops) == len(trace) == len(columns)
+        assert trace._batch is None  # one form at a time
+        assert trace.ops is ops
+        rebuilt = as_batch(trace)
+        assert rebuilt is not columns
+        assert rebuilt.to_payload() == payload
+        assert as_batch(trace) is rebuilt  # memoized again
+        assert trace.ops is ops
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_lazy_ops_and_payload_match(self, tmp_path, workload):
