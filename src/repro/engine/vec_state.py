@@ -9,8 +9,15 @@ directories) as one *global* table of sorted int64 keys::
 where ``unit`` is a flat structure index (GPM, L1 slice, or directory
 partition) and ``item`` is a line or sector index.  Membership tests,
 duplicate detection inside an epoch, state merges and capacity
-evictions are then plain numpy sorts/searches over the whole epoch at
-once instead of per-op dict lookups.
+evictions are then plain numpy sorts/searches instead of per-op dict
+lookups.
+
+No table update sorts the whole table: :meth:`Table.merge` sorts only
+the epoch's events and folds them into the already-sorted table with
+one ``searchsorted`` and one linear splice; each entry carries its set
+id, computed once when the key is inserted; and
+:meth:`Table.capacity_evict` sorts only the entries of sets that are
+over capacity.
 
 Within an epoch, order is approximated: a probe hits when its key was
 resident at epoch start *or* some earlier event in the epoch made it
@@ -26,6 +33,9 @@ import numpy as np
 
 #: Bits reserved for the item (line/sector) index inside a table key.
 UNIT_SHIFT = 40
+
+#: Largest event position a table entry can carry.
+_POS_MASK = (1 << UNIT_SHIFT) - 1
 
 _EMPTY_I64 = np.empty(0, np.int64)
 _EMPTY_BOOL = np.empty(0, bool)
@@ -48,70 +58,120 @@ def units_of(keys: np.ndarray) -> np.ndarray:
     return keys >> UNIT_SHIFT
 
 
-def member(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Vectorized set membership: is each query key in ``sorted_keys``?"""
+def locate(sorted_keys: np.ndarray, query: np.ndarray):
+    """``(index, found)`` of each query key in ``sorted_keys``: where
+    ``found``, ``sorted_keys[index]`` is the key (elsewhere ``index`` is
+    merely in range)."""
     if sorted_keys.size == 0 or query.size == 0:
-        return np.zeros(query.shape, bool)
+        return np.zeros(query.shape, np.int64), np.zeros(query.shape, bool)
     idx = np.searchsorted(sorted_keys, query)
     idx[idx >= sorted_keys.size] = sorted_keys.size - 1
-    return sorted_keys[idx] == query
+    return idx, sorted_keys[idx] == query
 
 
-def has_prior(keys: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """For each event, True when the same key occurs earlier in the
-    event stream (any earlier event leaves the key resident, so later
-    probes of it hit regardless of the earlier outcome)."""
+def member(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Vectorized set membership: is each query key in ``sorted_keys``?"""
+    return locate(sorted_keys, query)[1]
+
+
+def has_prior(keys: np.ndarray, pos: np.ndarray,
+              group: np.ndarray) -> np.ndarray:
+    """For each event, True when an earlier event (by position, ties in
+    stream order) of the same ``group`` has the same key: any earlier
+    event leaves the key resident, so later probes of it hit regardless
+    of the earlier outcome.  Grouping by epoch, one sort answers every
+    epoch of a trace."""
     if keys.size == 0:
         return _EMPTY_BOOL.copy()
-    order = np.lexsort((pos, keys))
-    k = keys[order]
+    order = np.lexsort((pos, keys, group))
+    k, g = keys[order], group[order]
     dup = np.empty(k.size, bool)
     dup[0] = False
-    dup[1:] = k[1:] == k[:-1]
+    dup[1:] = (k[1:] == k[:-1]) & (g[1:] == g[:-1])
     out = np.empty(k.size, bool)
     out[order] = dup
     return out
 
 
+def _group_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted array."""
+    first = np.empty(sorted_values.size, bool)
+    first[0] = True
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(first)
+
+
 class Table:
-    """One global structure state: sorted keys + last-touch positions +
-    a per-entry payload (dirty flag for L2, sharer mask for dirs)."""
+    """One global ``ways``-associative structure state: sorted keys +
+    last-touch positions + a per-entry payload (dirty flag for L2,
+    sharer mask for dirs) + a per-entry set id.
 
-    __slots__ = ("keys", "pos", "val")
+    ``set_of`` maps keys to combined (unit, set) ids; it runs once per
+    inserted key, and the ``sid`` column then travels with its entry
+    through every merge and drop.
+    """
 
-    def __init__(self, keys=None, pos=None, val=None):
-        self.keys = _EMPTY_I64.copy() if keys is None else keys
-        self.pos = _EMPTY_I64.copy() if pos is None else pos
-        self.val = _EMPTY_I64.copy() if val is None else val
+    __slots__ = ("keys", "pos", "val", "sid", "set_of", "ways")
+
+    def __init__(self, set_of, ways: int):
+        self.keys = _EMPTY_I64.copy()
+        self.pos = _EMPTY_I64.copy()
+        self.val = _EMPTY_I64.copy()
+        self.sid = _EMPTY_I64.copy()
+        self.set_of = set_of
+        self.ways = ways
 
     def merge(self, ev_keys, ev_pos, ev_val=None):
-        """Fold epoch events into the table (last event wins ``pos``;
-        int64 payloads are OR-combined per key, matching dirty-flag and
-        sharer-mask semantics).  Returns a mask over the merged entries
-        marking keys that were newly inserted (absent at epoch start).
+        """Fold epoch events into the table.
+
+        The events alone are sorted and deduplicated (the last event
+        wins ``pos``; int64 payloads are OR-combined per key, matching
+        dirty-flag and sharer-mask semantics), then folded into the
+        sorted table with one ``searchsorted`` and one scatter: existing
+        entries take ``pos = max`` and ``val |=``, new keys are spliced
+        in.  Returns a mask over the merged entries marking keys that
+        were newly inserted (absent at epoch start).
         """
+        n_old = self.keys.size
         if ev_keys.size == 0:
-            return np.zeros(self.keys.size, bool)
-        old_keys = self.keys
+            return np.zeros(n_old, bool)
+        # Both reductions are order-free, so any sort will do.
+        order = np.argsort(ev_keys)
+        k = ev_keys[order]
+        starts = _group_starts(k)
+        uk = k[starts]
+        upos = np.maximum.reduceat(ev_pos[order], starts)
         if ev_val is None:
-            ev_val = np.zeros(ev_keys.size, np.int64)
-        keys = np.concatenate([self.keys, ev_keys])
-        pos = np.concatenate([self.pos, ev_pos])
-        val = np.concatenate([self.val, ev_val])
-        order = np.lexsort((pos, keys))
-        keys, pos, val = keys[order], pos[order], val[order]
-        first = np.empty(keys.size, bool)
-        first[0] = True
-        first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(first)
-        # Last event per key wins the position; payloads OR together.
-        last = np.empty(starts.size, np.int64)
-        last[:-1] = starts[1:] - 1
-        last[-1] = keys.size - 1
-        self.keys = keys[starts]
-        self.pos = pos[last]
-        self.val = np.bitwise_or.reduceat(val, starts)
-        return ~member(old_keys, self.keys)
+            uval = np.zeros(uk.size, np.int64)
+        else:
+            uval = np.bitwise_or.reduceat(ev_val[order], starts)
+
+        idx = np.searchsorted(self.keys, uk)
+        found = np.zeros(uk.size, bool)
+        inside = idx < n_old
+        found[inside] = self.keys[idx[inside]] == uk[inside]
+        if found.any():
+            at = idx[found]
+            self.pos[at] = np.maximum(self.pos[at], upos[found])
+            self.val[at] |= uval[found]
+        new = ~found
+        m = int(np.count_nonzero(new))
+        inserted = np.zeros(n_old + m, bool)
+        if m == 0:
+            return inserted
+        at = idx[new] + np.arange(m)
+        inserted[at] = True
+        kept = np.flatnonzero(~inserted)
+        nk = uk[new]
+        columns = []
+        for old, add in ((self.keys, nk), (self.pos, upos[new]),
+                         (self.val, uval[new]), (self.sid, self.set_of(nk))):
+            out = np.empty(n_old + m, np.int64)
+            out[kept] = old
+            out[at] = add
+            columns.append(out)
+        self.keys, self.pos, self.val, self.sid = columns
+        return inserted
 
     def drop(self, mask):
         """Remove entries where ``mask`` is True; returns dropped count."""
@@ -121,43 +181,100 @@ class Table:
             self.keys = self.keys[keep]
             self.pos = self.pos[keep]
             self.val = self.val[keep]
+            self.sid = self.sid[keep]
         return n
 
     def drop_keys(self, victim_keys) -> int:
         """Remove specific keys (if present); returns how many existed."""
-        if victim_keys.size == 0 or self.keys.size == 0:
-            return 0
-        return self.drop(member(np.sort(victim_keys), self.keys))
+        idx, found = locate(self.keys, victim_keys)
+        mask = np.zeros(self.keys.size, bool)
+        mask[idx[found]] = True
+        return self.drop(mask)
 
-    def capacity_evict(self, set_ids, ways: int):
+    def capacity_evict(self):
         """Enforce per-set capacity, keeping the ``ways`` most recently
-        touched entries of each set (``set_ids`` aligns with
-        ``self.keys``: a combined (unit, set) group id per entry).
-
-        Returns ``(keys, val)`` of the evicted entries.
+        touched entries of each set.  Only entries of over-capacity
+        sets are sorted, by (set, newest first) with ties in table
+        order.  Returns ``(keys, val)`` of the evicted entries.
         """
-        if self.keys.size == 0:
+        ways = self.ways
+        if self.keys.size <= ways:
             return _EMPTY_I64, _EMPTY_I64
-        # Fast path: no set over capacity (common for the roomy L2).
-        if int(np.bincount(set_ids).max()) <= ways:
+        counts = np.bincount(self.sid)
+        if int(counts.max()) <= ways:
             return _EMPTY_I64, _EMPTY_I64
-        order = np.lexsort((-self.pos, set_ids))
-        gid = set_ids[order]
-        first = np.empty(gid.size, bool)
-        first[0] = True
-        first[1:] = gid[1:] != gid[:-1]
+        cand = np.flatnonzero(counts[self.sid] > ways)
+        # One packed (set, newest first) key; the stable sort keeps ties
+        # in table order.
+        packed = (self.sid[cand] << UNIT_SHIFT) | (_POS_MASK - self.pos[cand])
+        order = cand[np.argsort(packed, kind="stable")]
         # Rank of each entry within its set, newest first.
-        idx = np.arange(gid.size)
-        start_of_group = np.maximum.accumulate(np.where(first, idx, 0))
-        rank = idx - start_of_group
-        evict_sorted = rank >= ways
-        if not evict_sorted.any():
-            return _EMPTY_I64, _EMPTY_I64
+        starts = _group_starts(self.sid[order])
+        start_of_group = np.zeros(order.size, np.int64)
+        start_of_group[starts] = starts
+        rank = np.arange(order.size) - np.maximum.accumulate(start_of_group)
         evict = np.zeros(self.keys.size, bool)
-        evict[order] = evict_sorted
+        evict[order[rank >= ways]] = True
         keys, val = self.keys[evict], self.val[evict]
         self.drop(evict)
         return keys, val
+
+
+class EpochStream:
+    """One epoch's event stream over a table's epoch-start keys, built
+    batch by batch: the epoch's store-path events first, then each
+    probe batch in turn.
+
+    :meth:`probe` answers :func:`member` of the epoch-start table or
+    :func:`has_prior` for a new batch against the whole stream so far
+    plus the batch itself, with one sort of the batch and without
+    re-sorting the stream: every batch arrives in position order, so an
+    earlier batch precedes a query exactly when its first event of the
+    same key is at or before the query's position, and a same-batch
+    event precedes it exactly when it comes first in the batch.
+    """
+
+    __slots__ = ("table", "parts", "firsts")
+
+    def __init__(self, table_keys, keys, pos, val):
+        self.table = table_keys
+        self.parts = [(keys, pos, val)]
+        order, starts = self._sort(keys)
+        first = order[starts]
+        self.firsts = [(keys[first], pos[first])]
+
+    @staticmethod
+    def _sort(keys):
+        """Stable key order of a batch and the start of each key's run
+        in it (so ``order[starts]`` is each key's first event)."""
+        order = keys.argsort(kind="stable")
+        if keys.size == 0:
+            return order, _EMPTY_I64
+        return order, _group_starts(keys[order])
+
+    def probe(self, keys, pos):
+        """Per query of a position-ordered batch: was its key in the
+        table at epoch start, or touched by an earlier event of the
+        stream or of this batch?  Appends the batch (with zero
+        payloads) to the stream."""
+        order, starts = self._sort(keys)
+        k, p = keys[order], pos[order]
+        hit = np.ones(k.size, bool)
+        hit[starts] = False
+        hit |= member(self.table, k)
+        for fk, fp in self.firsts:
+            if fk.size:
+                at, found = locate(fk, k)
+                hit |= found & (fp[at] <= p)
+        self.parts.append((keys, pos, np.zeros(keys.size, np.int64)))
+        self.firsts.append((k[starts], p[starts]))
+        out = np.empty(k.size, bool)
+        out[order] = hit
+        return out
+
+    def events(self):
+        """``(keys, pos, val)`` of the whole stream."""
+        return tuple(np.concatenate(col) for col in zip(*self.parts))
 
 
 def epoch_bounds(kb_positions: np.ndarray, total_ops: int,
@@ -183,3 +300,33 @@ def epoch_bounds(kb_positions: np.ndarray, total_ops: int,
         out.append(b)
         prev = b
     return np.asarray(out, np.int64)
+
+
+class EpochLast:
+    """Latest position per (epoch, unit) of one event stream, built with
+    a single sort over the whole trace.  :meth:`epoch` returns the
+    epoch's sorted unique units and each one's last event position (an
+    empty pair when the epoch has no events)."""
+
+    __slots__ = ("units", "last", "off")
+
+    def __init__(self, cuts: np.ndarray, units: np.ndarray,
+                 pos: np.ndarray):
+        ep = np.searchsorted(cuts, pos, side="right")
+        order = np.lexsort((units, ep))
+        e, u = ep[order], units[order]
+        if u.size:
+            first = np.empty(u.size, bool)
+            first[0] = True
+            first[1:] = (u[1:] != u[:-1]) | (e[1:] != e[:-1])
+            starts = np.flatnonzero(first)
+            self.units = u[starts]
+            self.last = np.maximum.reduceat(pos[order], starts)
+            e = e[starts]
+        else:
+            self.units = self.last = _EMPTY_I64
+        self.off = np.searchsorted(e, np.arange(cuts.size + 1))
+
+    def epoch(self, i: int):
+        lo, hi = self.off[i], self.off[i + 1]
+        return self.units[lo:hi], self.last[lo:hi]

@@ -25,6 +25,18 @@ Accounting splits into two tiers (DESIGN §15):
   are folded in at epoch ends.  The differential gate
   (:mod:`repro.engine.equivalence`) bounds the resulting drift per
   field.
+
+No epoch step sorts a whole table or scans the trace: the state tables
+(:class:`repro.engine.vec_state.Table`) merge incrementally, and
+everything that depends on the trace alone (flash and sweep
+last-positions, the directory update order, the L1's in-epoch repeats)
+is computed once per run.  The L1 model reads and writes only its own
+table, and sw, hsw, nhcc, gpuvi and hmg drive it with the same events
+and flashes, so it is replayed once per (prepared trace, L1 geometry,
+L1 class) and memoized next to the prepared columns
+(:func:`_l1_replay`); noremote and ideal are classes of their own.
+Every protocol then runs only its L2 and directory epochs over the
+replay's surviving loads.
 """
 
 from __future__ import annotations
@@ -84,15 +96,20 @@ class _Traffic:
             self.counts[mtype] = self.counts.get(mtype, 0) + int(count)
             self.bytes[mtype] = self.bytes.get(mtype, 0) + int(nbytes)
 
-    def send(self, mtype, src_flat, dst_flat, size=None, sizes=None):
-        """Emit one message per (src, dst) pair.  ``size`` is a scalar
-        byte count, ``sizes`` a per-message array.  Like the scalar
-        engine, messages are tallied even when src == dst, but only
-        src != dst traffic occupies the crossbar/links."""
+    def send(self, mtype, src_flat, dst_flat, size=None, sizes=None,
+             counts=None):
+        """Emit messages between (src, dst) pairs: one of ``size`` bytes
+        per pair, one of ``sizes[i]`` bytes, or (with ``counts``)
+        ``counts[i]`` identical messages of ``size`` bytes.  Like the
+        scalar engine, messages are tallied even when src == dst, but
+        only src != dst traffic occupies the crossbar/links."""
         n = src_flat.size
         if n == 0:
             return
-        if sizes is None:
+        if counts is not None:
+            sizes = counts * size
+            self._tally(mtype, int(counts.sum()), int(sizes.sum()))
+        elif sizes is None:
             self._tally(mtype, n, n * size)
         else:
             self._tally(mtype, n, int(sizes.sum()))
@@ -121,28 +138,14 @@ class _Traffic:
                 self.link_out += _bc(ng, sg[cross], wc).astype(np.int64)
                 self.link_in += _bc(ng, dg[cross], wc).astype(np.int64)
 
-    def send_one(self, mtype, src_flat, dst_flat, size, count=1):
-        """``count`` identical messages between two fixed GPMs."""
-        if count == 0:
-            return
-        self._tally(mtype, count, count * size)
-        if src_flat == dst_flat:
-            return
-        sg, dg = src_flat // self.gpms, dst_flat // self.gpms
-        amount = count * size
-        self.xbar[sg] += amount
-        if sg != dg:
-            self.xbar[dg] += amount
-            self.link_out[sg] += amount
-            self.link_in[dg] += amount
-
 
 class _Prep:
-    """Per-(geometry, placement) derived columns of one trace."""
+    """Per-(geometry, placement) derived columns of one trace, plus the
+    memoized L1 replays over them (``l1``, see :func:`_l1_replay`)."""
 
     __slots__ = (
         "n", "line", "sector", "sh", "gh", "pay", "sl", "sc", "kind",
-        "size", "hop_nh", "cuts", "byk", "upages", "owners",
+        "size", "hop_nh", "cuts", "byk", "upages", "owners", "l1",
     )
 
 
@@ -156,9 +159,13 @@ def _prepare(batch, cfg, placement: str,
     except ``ideal`` satisfies CTA-scope atomics entirely in the L1 and
     never consults the page table, so under first-touch placement such
     an atomic must not place its page; ``ideal`` routes atomics through
-    its store path and does."""
+    its store path and does.
+
+    The memo key names every ``cfg`` field read here, the hop
+    latencies behind ``hop_nh`` included."""
     amap_key = (cfg.line_size, cfg.dir_lines_per_entry, cfg.page_size,
                 cfg.num_gpus, cfg.gpms_per_gpu, cfg.l1_slices_per_gpm,
+                cfg.latency.inter_gpm_hop, cfg.latency.inter_gpu_hop,
                 placement, cta_atomics_place)
     hit = batch.prepared.get(amap_key)
     if hit is not None:
@@ -194,6 +201,7 @@ def _prepare(batch, cfg, placement: str,
     p.byk = {k: np.flatnonzero(p.kind == k)
              for k in (_LOAD, _STORE, _ATOMIC, _ACQUIRE, _RELEASE, _KB)}
     p.cuts = vs.epoch_bounds(p.byk[_KB], len(batch))
+    p.l1 = {}
     batch.prepared[amap_key] = p
     return p
 
@@ -220,58 +228,66 @@ class _Run:
              "invalidated_lines", "bulk_invalidations"), 0)
 
 
-def _fence_nhcc(r, cfg, src_flat, count):
-    """NHCC/GPU-VI release fence: RELEASE_FENCE + RELEASE_ACK pairs to
-    every other GPM; returns the farthest rtt (the fence latency)."""
-    G = cfg.gpms_per_gpu
-    farthest = 0
-    for t in range(cfg.total_gpms):
-        if t == src_flat:
-            continue
-        r.traffic.send_one(MsgType.RELEASE_FENCE, src_flat, t,
-                           cfg.message_sizes.release_fence, count)
-        r.traffic.send_one(MsgType.RELEASE_ACK, t, src_flat,
-                           cfg.message_sizes.acknowledgment, count)
-        rtt = (2 * cfg.latency.inter_gpm_hop if t // G == src_flat // G
-               else 2 * cfg.latency.inter_gpu_hop)
-        farthest = max(farthest, rtt)
-    return float(farthest)
+def _pairs(src, dst_base, width, stride=1):
+    """Every (src[i], dst_base[i] + j * stride) pair for j in
+    range(width), with the index i of each pair's source."""
+    i = np.repeat(np.arange(src.size), width)
+    step = np.tile(np.arange(width) * stride, src.size)
+    return i, src[i], dst_base[i] + step
 
 
-def _fence_hmg(r, cfg, src_flat, count, sys_scope):
-    """HMG hierarchical release fence (intra-GPU pairs; .sys adds the
-    peer-GPU fan-out with their inner pairs)."""
+def _fence_nhcc(r, cfg, per_src):
+    """NHCC/GPU-VI release fences: each source GPM ``s`` sends
+    ``per_src[s]`` RELEASE_FENCE + RELEASE_ACK pairs to every other
+    GPM.  Returns the farthest ack round trip (the fence latency)."""
+    T, G = cfg.total_gpms, cfg.gpms_per_gpu
+    srcs = np.flatnonzero(per_src)
+    _, s, t = _pairs(srcs, np.zeros(srcs.size, np.int64), T)
+    keep = s != t
+    s, t = s[keep], t[keep]
+    counts = per_src[s]
+    sizes = cfg.message_sizes
+    r.traffic.send(MsgType.RELEASE_FENCE, s, t, sizes.release_fence,
+                   counts=counts)
+    r.traffic.send(MsgType.RELEASE_ACK, t, s, sizes.acknowledgment,
+                   counts=counts)
+    rtts = [0]
+    if G > 1:
+        rtts.append(2 * cfg.latency.inter_gpm_hop)
+    if cfg.num_gpus > 1:
+        rtts.append(2 * cfg.latency.inter_gpu_hop)
+    return float(max(rtts))
+
+
+def _fence_hmg(r, cfg, per_src, sys_scope):
+    """HMG hierarchical release fences from each source GPM ``s``,
+    ``per_src[s]`` times: intra-GPU FENCE/ACK pairs; .sys adds the
+    peer-GPU fan-out (one FENCE/ACK per peer GPU, each peer running
+    its own inner pairs).  Returns the fence latency."""
     G = cfg.gpms_per_gpu
     sizes = cfg.message_sizes
-    gpu, gpm = divmod(src_flat, G)
-    farthest = 0
-    for m in range(G):
-        if m == gpm:
-            continue
-        t = gpu * G + m
-        r.traffic.send_one(MsgType.RELEASE_FENCE, src_flat, t,
-                           sizes.release_fence, count)
-        r.traffic.send_one(MsgType.RELEASE_ACK, t, src_flat,
-                           sizes.acknowledgment, count)
-        farthest = max(farthest, 2 * cfg.latency.inter_gpm_hop)
+    srcs = np.flatnonzero(per_src)
+    # (fence source, fence target, count); each ACK flows back.
+    _, s, t = _pairs(srcs, (srcs // G) * G, G)
+    keep = s != t
+    legs = [(s[keep], t[keep], per_src[s[keep]])]
+    farthest = 2 * cfg.latency.inter_gpm_hop if G > 1 else 0
     if sys_scope:
-        for pg in range(cfg.num_gpus):
-            if pg == gpu:
-                continue
-            peer = pg * G + gpm
-            r.traffic.send_one(MsgType.RELEASE_FENCE, src_flat, peer,
-                               sizes.release_fence, count)
+        _, s, peer = _pairs(srcs, srcs % G, cfg.num_gpus, stride=G)
+        keep = peer // G != s // G
+        s, peer = s[keep], peer[keep]
+        counts = per_src[s]
+        legs.append((s, peer, counts))
+        if cfg.num_gpus > 1:
             farthest = max(farthest, 2 * cfg.latency.inter_gpu_hop)
-            for m in range(G):
-                inner = pg * G + m
-                if inner == peer:
-                    continue
-                r.traffic.send_one(MsgType.RELEASE_FENCE, peer, inner,
-                                   sizes.release_fence, count)
-                r.traffic.send_one(MsgType.RELEASE_ACK, inner, peer,
-                                   sizes.acknowledgment, count)
-            r.traffic.send_one(MsgType.RELEASE_ACK, peer, src_flat,
-                               sizes.acknowledgment, count)
+        j, p, inner = _pairs(peer, (peer // G) * G, G)
+        keep = inner != p
+        legs.append((p[keep], inner[keep], counts[j[keep]]))
+    src, dst, counts = (np.concatenate(col) for col in zip(*legs))
+    r.traffic.send(MsgType.RELEASE_FENCE, src, dst, sizes.release_fence,
+                   counts=counts)
+    r.traffic.send(MsgType.RELEASE_ACK, dst, src, sizes.acknowledgment,
+                   counts=counts)
     return float(farthest)
 
 
@@ -383,10 +399,7 @@ def _static_charges(cfg, p, name, r):
         if rl_scoped.size:
             store_lat = _store_latency(name, cfg, p, rl_scoped)
             if name in ("nhcc", "gpuvi"):
-                per_src = _bc(T, p.n[rl_scoped])
-                fence = 0.0
-                for s in np.flatnonzero(per_src):
-                    fence = _fence_nhcc(r, cfg, s, int(per_src[s]))
+                fence = _fence_nhcc(r, cfg, _bc(T, p.n[rl_scoped]))
                 r.stall += _bc(T, p.n[rl_scoped], store_lat + fence) / tol
             elif name == "hmg":
                 for scope, mask in ((_GPU, p.sc[rl_scoped] == _GPU),
@@ -394,11 +407,8 @@ def _static_charges(cfg, p, name, r):
                     sel = rl_scoped[mask]
                     if sel.size == 0:
                         continue
-                    per_src = _bc(T, p.n[sel])
-                    fence = 0.0
-                    for s in np.flatnonzero(per_src):
-                        fence = _fence_hmg(r, cfg, s, int(per_src[s]),
-                                           scope == _SYS)
+                    fence = _fence_hmg(r, cfg, _bc(T, p.n[sel]),
+                                       scope == _SYS)
                     r.stall += _bc(T, p.n[sel],
                                    _store_latency(name, cfg, p, sel)
                                    + fence) / tol
@@ -416,12 +426,8 @@ def _static_charges(cfg, p, name, r):
         nkb = p.n[kb]
         if name in ("nhcc", "gpuvi", "hmg"):
             per_src = _bc(T, nkb)
-            fence = 0.0
-            for s in np.flatnonzero(per_src):
-                if name == "hmg":
-                    fence = _fence_hmg(r, cfg, s, int(per_src[s]), True)
-                else:
-                    fence = _fence_nhcc(r, cfg, s, int(per_src[s]))
+            fence = (_fence_hmg(r, cfg, per_src, True) if name == "hmg"
+                     else _fence_nhcc(r, cfg, per_src))
             r.stall += _bc(T, nkb) * ((fence + binv) / tol)
             r.bulk_invs += _bc(T, nkb) * cfg.l1_slices_per_gpm
             r.l1["bulk_invalidations"] += kb.size * cfg.l1_slices_per_gpm
@@ -481,7 +487,7 @@ def _static_charges(cfg, p, name, r):
 
 def _or_key_reduce(keys, vals):
     """(sorted unique keys, OR of vals per key)."""
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     k, v = keys[order], vals[order]
     first = np.empty(k.size, bool)
     first[0] = True
@@ -493,67 +499,170 @@ def _or_key_reduce(keys, vals):
 def _lookup_val(sorted_keys, vals, query):
     """Payload of each query key in a sorted table (0 when absent)."""
     out = np.zeros(query.size, np.int64)
-    if sorted_keys.size and query.size:
-        idx = np.searchsorted(sorted_keys, query)
-        idx[idx >= sorted_keys.size] = sorted_keys.size - 1
-        hit = sorted_keys[idx] == query
-        out[hit] = vals[idx[hit]]
+    idx, hit = vs.locate(sorted_keys, query)
+    out[hit] = vals[idx[hit]]
     return out
 
 
-def _last_pos_per_unit(units, pos):
-    """(sorted unique units, latest pos per unit)."""
-    order = np.argsort(units, kind="stable")
-    u, q = units[order], pos[order]
-    first = np.empty(u.size, bool)
-    first[0] = True
-    first[1:] = u[1:] != u[:-1]
-    starts = np.flatnonzero(first)
-    return u[starts], np.maximum.reduceat(q, starts)
+def _stale(pos, owner, units, last):
+    """Mask of table entries touched before the last event of their
+    owner (a unit or a line) in the sorted ``units`` / ``last`` pair."""
+    idx, found = vs.locate(units, owner)
+    return found & (pos < last[idx])
+
+
+def _set_bits(masks, width, shift=0):
+    """(event index, bit - shift) of every set bit of ``masks`` in
+    ``[shift, shift + width)``."""
+    bits = (masks[:, None] >> (np.arange(width) + shift)) & 1
+    return np.nonzero(bits)
+
+
+def _set_of(set_fn, sets):
+    """A table's ``set_of``: key -> combined (unit, set) id."""
+    return lambda keys: (vs.units_of(keys) * sets
+                         + set_fn(vs.items_of(keys), sets))
+
+
+def _epoch_spans(*ends):
+    """Per epoch, one ``slice`` into each event stream, given every
+    stream's per-epoch end offsets."""
+    starts = (0,) * len(ends)
+    for row in zip(*(np.asarray(e).tolist() for e in ends)):
+        yield tuple(slice(a, b) for a, b in zip(starts, row))
+        starts = row
+
+
+class _L1Replay:
+    """One L1 replay over a prepared trace: the load-class ops that
+    continue to the L2 (``alive``, one sorted index array cut per epoch
+    by ``off``), the L1 counters and the L1 share of
+    ``lines_inv_by_acquire``."""
+
+    __slots__ = ("alive", "off", "counts", "inv_by_acquire")
+
+
+def _l1_replay(cfg, p, name) -> _L1Replay:
+    """Replay the L1 slices over the whole trace, epoch by epoch, once
+    per (prepared trace, L1 geometry, L1 class), memoized in ``p.l1``.
+
+    sw, hsw, nhcc, gpuvi and hmg probe only CTA-scoped loads and flash
+    on scoped acquires and kernel boundaries, so they share one replay;
+    noremote (L1 caching of GPU-local data only) and ideal (every load
+    probes; stores wipe other copies for free) are classes of their
+    own.  The L1 reads and writes nothing but its own table, so the
+    replay runs ahead of every protocol's L2 epochs."""
+    cls = name if name in ("ideal", "noremote") else "scoped"
+    key = (cfg.l1_bytes_per_slice, cfg.l1_ways, cls)
+    hit = p.l1.get(key)
+    if hit is not None:
+        return hit
+    G, cuts = cfg.gpms_per_gpu, p.cuts
+    kind, sc, n = p.kind, p.sc, p.n
+    lm = (kind == _LOAD) | (kind == _ACQUIRE)
+    stm = (kind == _STORE) | (kind == _RELEASE)
+    atm = kind == _ATOMIC
+    cta = sc == _CTA
+
+    # L1 residency events (loads fill on the way back; stores and CTA
+    # atomics write through the L1) and probe gating.
+    if cls == "ideal":
+        probe, gate, l1st = lm, lm, stm | atm
+    elif cls == "noremote":
+        cacheable = n // G == p.sh // G
+        probe = lm & cta & cacheable
+        gate = lm & cacheable
+        l1st = (stm & cacheable) | (atm & cta)
+    else:
+        probe, gate, l1st = lm & cta, lm, stm | (atm & cta)
+    idx = np.flatnonzero(gate | l1st)
+    keys = vs.make_keys(p.sl[idx], p.line[idx])
+    probe = probe[idx]
+    # Same-epoch repeats for the whole trace in one sort.
+    prior = vs.has_prior(keys, idx, np.searchsorted(cuts, idx, "right"))
+
+    # Software L1 slice flashes (ideal has none); ideal's oracle
+    # instead wipes every other copy of each stored line.
+    if cls == "ideal":
+        mi = np.flatnonzero(stm | atm)
+        flash, magic = None, vs.EpochLast(cuts, p.line[mi], mi)
+    else:
+        aqs = p.byk[_ACQUIRE]
+        aqs = aqs[sc[aqs] != _CTA]
+        kb = p.byk[_KB]
+        S = cfg.l1_slices_per_gpm
+        kb_slices = (n[kb][:, None] * S + np.arange(S)).ravel()
+        flash = vs.EpochLast(cuts, np.concatenate([p.sl[aqs], kb_slices]),
+                             np.concatenate([aqs, np.repeat(kb, S)]))
+        magic = None
+
+    sets = cfg.l1_bytes_per_slice // cfg.line_size // cfg.l1_ways
+    tab = vs.Table(_set_of(batchmap.cache_set_of, sets), cfg.l1_ways)
+    c = dict.fromkeys(("hits", "misses", "fills", "evictions",
+                       "invalidated_lines"), 0)
+    inv_by_acquire = 0
+    l1hit = np.zeros(kind.size, bool)
+    for e, (ev,) in enumerate(_epoch_spans(np.searchsorted(idx, cuts))):
+        if ev.stop > ev.start:
+            ekeys, eidx, eprobe = keys[ev], idx[ev], probe[ev]
+            resident = vs.member(tab.keys, ekeys) | prior[ev]
+            phit = resident[eprobe]
+            hits = int(np.count_nonzero(phit))
+            c["hits"] += hits
+            c["misses"] += int(phit.size) - hits
+            l1hit[eidx[eprobe][phit]] = True
+            c["fills"] += int(np.count_nonzero(tab.merge(ekeys, eidx)))
+        c["evictions"] += int(tab.capacity_evict()[0].size)
+        if flash is not None:
+            units, last = flash.epoch(e)
+            if units.size and tab.keys.size:
+                cnt = tab.drop(_stale(tab.pos, vs.units_of(tab.keys),
+                                      units, last))
+                c["invalidated_lines"] += cnt
+                inv_by_acquire += cnt
+        if magic is not None:
+            lines, last = magic.epoch(e)
+            if lines.size and tab.keys.size:
+                c["invalidated_lines"] += tab.drop(_stale(
+                    tab.pos, vs.items_of(tab.keys), lines, last))
+
+    out = _L1Replay()
+    alive = np.flatnonzero(lm & ~l1hit)
+    # Half the memo's footprint: op positions fit 32 bits in practice.
+    out.alive = alive.astype(np.int32) if kind.size < 2**31 else alive
+    out.off = np.concatenate([[0], np.searchsorted(out.alive, cuts)])
+    out.counts = c
+    out.inv_by_acquire = inv_by_acquire
+    p.l1[key] = out
+    return out
 
 
 class _EpochSim:
     """State-dependent accounting: the trace is replayed epoch by epoch
-    over global sorted-key tables (one per structure class)."""
+    over global sorted-key tables (one per structure class), behind the
+    memoized L1 replay."""
 
     def __init__(self, cfg, p, name, r):
         self.cfg, self.p, self.name, self.r = cfg, p, name, r
         self.T, self.G = cfg.total_gpms, cfg.gpms_per_gpu
         self.LS = cfg.line_size
         self.SPL = cfg.dir_lines_per_entry
-        self.l1_sets = cfg.l1_bytes_per_slice // self.LS // cfg.l1_ways
-        self.l2_sets = cfg.l2_bytes_per_gpm // self.LS // cfg.l2_ways
-        self.dir_sets = cfg.dir_entries_per_gpm // cfg.dir_ways
+        l2_sets = cfg.l2_bytes_per_gpm // self.LS // cfg.l2_ways
+        dir_sets = cfg.dir_entries_per_gpm // cfg.dir_ways
         self.hier = name in ("hsw", "hmg", "ideal")
         self.has_dir = name in ("nhcc", "gpuvi", "hmg")
-        self.l1_tab = vs.Table()
-        self.l2_tab = vs.Table()
-        self.dir_tab = vs.Table()
+        self.l2_tab = vs.Table(_set_of(batchmap.cache_set_of, l2_sets),
+                               cfg.l2_ways)
+        self.dir_tab = vs.Table(_set_of(batchmap.dir_set_of, dir_sets),
+                                cfg.dir_ways)
 
         kind, sc, n = p.kind, p.sc, p.n
-        lm = (kind == _LOAD) | (kind == _ACQUIRE)
         stm = (kind == _STORE) | (kind == _RELEASE)
         atm = kind == _ATOMIC
         cta = sc == _CTA
         at_sc = atm & ~cta
         cacheable = (n // self.G) == (p.sh // self.G)
-        self.lm, self.cacheable = lm, cacheable
-
-        # L1 residency events (loads fill on the way back; stores and
-        # CTA atomics write through the L1) and probe gating.
-        if name == "ideal":
-            probe, gate, l1st = lm, lm, stm | atm
-        elif name == "noremote":
-            probe = lm & cta & cacheable
-            gate = lm & cacheable
-            l1st = (stm & cacheable) | (atm & cta)
-        else:
-            probe, gate, l1st = lm & cta, lm, stm | (atm & cta)
-        ev = gate | l1st
-        self.l1_idx = np.flatnonzero(ev)
-        self.l1_keys = vs.make_keys(p.sl[self.l1_idx], p.line[self.l1_idx])
-        self.l1_probe = probe[self.l1_idx]
-        self.noremote_local = None if name != "noremote" else cacheable
+        self.cacheable = cacheable
 
         # Store-path L2 residency events, tagged dirty at the system
         # home (the only unit the scalar protocols ever dirty).
@@ -612,7 +721,11 @@ class _EpochSim:
                 me = np.where(n[i1] == p.sh[i1], 0, np.int64(1) << n[i1])
                 hl = n[i1] == p.sh[i1]
                 upos = i1
-            order = np.argsort(upos, kind="stable")
+            # Replay order: by epoch, then sector, then position.
+            ep = np.searchsorted(p.cuts, upos, side="right")
+            order = np.lexsort((upos, uk, ep))
+            self.up_ends = np.searchsorted(ep[order], np.arange(p.cuts.size),
+                                           side="right")
             self.up_pos = upos[order]
             self.up_key, self.up_me, self.up_hl = (
                 uk[order], me[order], hl[order])
@@ -621,102 +734,67 @@ class _EpochSim:
             self.up_n = n[src]
             self.up_hop = p.hop_nh[src].astype(np.float64)
 
-        # Software flash events: L1 slice flashes and predicate-classed
-        # L2 sweeps, applied position-aware at epoch ends.
+        # Predicate-classed L2 sweeps, applied position-aware at epoch
+        # ends: class -> per-epoch (unit, last sweep position) tables.
         aqs = p.byk[_ACQUIRE]
         aqs = aqs[sc[aqs] != _CTA]
         kb = p.byk[_KB]
-        S = cfg.l1_slices_per_gpm
-        if name == "ideal":
-            self.fl1_unit = self.fl1_pos = np.empty(0, np.int64)
-        else:
-            kb_slices = (p.n[kb][:, None] * S + np.arange(S)).ravel()
-            self.fl1_unit = np.concatenate([p.sl[aqs], kb_slices])
-            self.fl1_pos = np.concatenate([aqs, np.repeat(kb, S)])
-        # (class, unit, pos) sweep tuples; classes index _sweep_preds.
-        sw_cls, sw_unit, sw_pos = [], [], []
+        sweeps = {}
         if name in ("sw", "noremote"):
             both = np.concatenate([aqs, kb])
-            sw_cls.append(np.zeros(both.size, np.int64))
-            sw_unit.append(p.n[both])
-            sw_pos.append(both)
+            sweeps[0] = (p.n[both], both)
         elif name == "hsw":
             aq_gpu = aqs[sc[aqs] == _GPU]
             aq_sys = aqs[sc[aqs] == _SYS]
-            sw_cls.append(np.full(aq_gpu.size, 1, np.int64))
-            sw_unit.append(p.n[aq_gpu])
-            sw_pos.append(aq_gpu)
+            sweeps[1] = (p.n[aq_gpu], aq_gpu)
             self_ev = np.concatenate([aq_sys, kb])
-            sw_cls.append(np.full(self_ev.size, 2, np.int64))
-            sw_unit.append(p.n[self_ev])
-            sw_pos.append(self_ev)
+            sweeps[2] = (p.n[self_ev], self_ev)
             if aq_sys.size:
                 # .sys acquires also sweep the *other* GPMs of the GPU.
                 tgt = ((p.n[aq_sys] // self.G)[:, None] * self.G
                        + np.arange(self.G))
                 keep = tgt != p.n[aq_sys][:, None]
-                sw_cls.append(np.full(int(keep.sum()), 3, np.int64))
-                sw_unit.append(tgt[keep])
-                sw_pos.append(np.repeat(aq_sys, self.G - 1))
-        self.sw_cls = (np.concatenate(sw_cls) if sw_cls
-                       else np.empty(0, np.int64))
-        self.sw_unit = (np.concatenate(sw_unit) if sw_unit
-                        else np.empty(0, np.int64))
-        self.sw_pos = (np.concatenate(sw_pos) if sw_pos
-                       else np.empty(0, np.int64))
+                sweeps[3] = (tgt[keep], np.repeat(aq_sys, self.G - 1))
+        self.sweeps = {cls: vs.EpochLast(p.cuts, unit, pos)
+                       for cls, (unit, pos) in sweeps.items()}
 
         # Ideal's oracle invalidation: every store wipes all other
         # copies of its line machine-wide, at zero cost.
+        self.magic = None
         if name == "ideal":
             mi = np.flatnonzero(stm | atm)
-            self.mi_line, self.mi_pos = p.line[mi], mi
-        else:
-            self.mi_line = self.mi_pos = np.empty(0, np.int64)
+            self.magic = vs.EpochLast(p.cuts, p.line[mi], mi)
 
     # -- per-epoch passes ----------------------------------------------
 
     def run(self):
-        prev = 0
-        for cut in self.p.cuts:
-            a, b = prev, int(cut)
-            prev = b
-            alive = self._l1_pass(a, b)
-            ev_keys, ev_pos, ev_val, adds = self._l2_pass(a, b, alive)
+        p = self.p
+        l1 = _l1_replay(self.cfg, p, self.name)
+        for counter, value in l1.counts.items():
+            self.r.l1[counter] += value
+        self.r.stats.lines_inv_by_acquire += l1.inv_by_acquire
+        spans = _epoch_spans(
+            l1.off[1:], np.searchsorted(self.st_pos, p.cuts),
+            np.searchsorted(p.byk[_ACQUIRE], p.cuts),
+            self.up_ends if self.has_dir else p.cuts)
+        for e, (ld, st, aq, up) in enumerate(spans):
+            ev_keys, ev_pos, ev_val, adds = self._l2_pass(
+                l1.alive[ld], st, p.byk[_ACQUIRE][aq])
             was_new = self.l2_tab.merge(ev_keys, ev_pos, ev_val)
             self.r.l2c["fills"] += int(np.count_nonzero(was_new))
             if self.has_dir:
-                self._dir_pass(a, b, adds)
+                self._dir_pass(up, adds)
             # Capacity first: the scalar engines evict continuously, so
             # by the time an epoch-ending flash lands only the surviving
             # working set is resident to be invalidated.
             self._capacity()
-            self._flashes(a, b)
-            self._magic(a, b)
+            self._sweeps(e)
+            self._magic(e)
 
-    def _l1_pass(self, a, b):
-        """Probe/refill the L1 tables; returns global indices of the
-        load-class ops that continue to the L2 (missed or unprobed)."""
-        r = self.r
-        lo = np.searchsorted(self.l1_idx, a)
-        hi = np.searchsorted(self.l1_idx, b)
-        eidx = self.l1_idx[lo:hi]
-        ekeys = self.l1_keys[lo:hi]
-        eprobe = self.l1_probe[lo:hi]
-        l1hit = np.zeros(b - a, bool)
-        if eidx.size:
-            resident = (vs.member(self.l1_tab.keys, ekeys)
-                        | vs.has_prior(ekeys, eidx))
-            phit = resident[eprobe]
-            r.l1["hits"] += int(np.count_nonzero(phit))
-            r.l1["misses"] += int(phit.size - np.count_nonzero(phit))
-            l1hit[eidx[eprobe][phit] - a] = True
-            was_new = self.l1_tab.merge(ekeys, eidx)
-            r.l1["fills"] += int(np.count_nonzero(was_new))
-        ld = np.flatnonzero(self.lm[a:b]) + a
-        return ld[~l1hit[ld - a]]
-
-    def _l2_pass(self, a, b, al):
-        """Chase every alive load down the cache/home hierarchy.
+    def _l2_pass(self, al, st, aq):
+        """Chase the epoch's surviving loads (positions ``al``, from the
+        L1 replay) down the cache/home hierarchy; ``st`` slices the
+        epoch's store-path events and ``aq`` lists its acquires.
 
         Returns the epoch's combined L2 residency events (store-path
         plus load fills) and the directory sharer-registration adds.
@@ -730,28 +808,17 @@ class _EpochSim:
         hop_gpm = 2.0 * cfg.latency.inter_gpm_hop
         hop_gpu = 2.0 * cfg.latency.inter_gpu_hop
 
-        slo = np.searchsorted(self.st_pos, a)
-        shi = np.searchsorted(self.st_pos, b)
-        keys = self.st_keys[slo:shi]
-        poss = self.st_pos[slo:shi]
-        vals = self.st_val[slo:shi]
+        # Membership against table state + all earlier epoch events; the
+        # probes join the stream (they leave the line resident either
+        # way).
+        stream = vs.EpochStream(self.l2_tab.keys, self.st_keys[st],
+                                self.st_pos[st], self.st_val[st])
+        probe = stream.probe
         adds = []
 
         n, line, sh, gh = p.n[al], p.line[al], p.sh[al], p.gh[al]
         sc = p.sc[al]
-        hop = p.hop_nh[al].astype(np.float64)
         lat = np.full(al.size, float(cfg.latency.l1_hit))
-
-        def probe(q_keys, q_pos):
-            """Membership against table state + all earlier epoch
-            events, appending the probes themselves to the stream
-            (they leave the line resident either way)."""
-            nonlocal keys, poss, vals
-            base = vs.member(self.l2_tab.keys, q_keys)
-            keys = np.concatenate([keys, q_keys])
-            poss = np.concatenate([poss, q_pos])
-            vals = np.concatenate([vals, np.zeros(q_keys.size, np.int64)])
-            return base | vs.has_prior(keys, poss)[keys.size - q_keys.size:]
 
         # -- local stage ----------------------------------------------
         if name == "noremote":
@@ -795,7 +862,7 @@ class _EpochSim:
                     nr // G != shr // G))
                 tr.send(MsgType.LOAD_REQ, nr, shr, size=hdr)
                 r.l2_bytes += _bc(T, shr) * LS
-                lat[rm] += 2.0 * hop[rm] + l2h
+                lat[rm] += 2.0 * p.hop_nh[al[rm]].astype(np.float64) + l2h
                 hh = probe(vs.make_keys(shr, liner), al[rm])
                 r.l2c["hits"] += int(np.count_nonzero(hh))
                 r.l2c["misses"] += int(hh.size - np.count_nonzero(hh))
@@ -805,13 +872,12 @@ class _EpochSim:
                 tr.send(MsgType.DATA_RESP, shr, nr, size=data_size)
                 if name in ("nhcc", "gpuvi"):
                     r.l2_bytes += _bc(T, nr) * LS
-                    adds.append((vs.make_keys(shr, p.sector[al][rm]),
+                    adds.append((vs.make_keys(shr, p.sector[al[rm]]),
                                  np.int64(1) << nr, al[rm]))
                 elif name == "noremote":
                     cr = nr // G == shr // G
                     r.l2_bytes += _bc(T, nr[cr]) * LS
         else:
-            sect = p.sector[al]
             t1m = miss & (n != sh) & (n != gh)
             t1 = np.flatnonzero(t1m)
             t1hit = np.zeros(al.size, bool)
@@ -822,12 +888,13 @@ class _EpochSim:
                 lat[t1] += hop_gpm + l2h
                 ghit = probe(vs.make_keys(gt, line[t1]), al[t1])
                 if name != "ideal":
+                    # Non-ideal .sys loads never hit a non-home GPU copy.
                     ghit &= ~((sc[t1] == _SYS) & (gt != sh[t1]))
                 r.l2c["hits"] += int(np.count_nonzero(ghit))
                 r.l2c["misses"] += int(ghit.size - np.count_nonzero(ghit))
                 t1hit[t1[ghit]] = True
                 if name == "hmg":
-                    adds.append((vs.make_keys(gt, sect[t1]),
+                    adds.append((vs.make_keys(gt, p.sector[al[t1]]),
                                  np.int64(1) << (nt % G), al[t1]))
             t2 = np.flatnonzero(miss & (n != sh) & (gh != sh)
                                 & ((n == gh) | (t1m & ~t1hit)))
@@ -847,7 +914,7 @@ class _EpochSim:
                 mg = n[t2] != gt2
                 r.l2_bytes += _bc(T, gt2[mg]) * LS
                 if name == "hmg":
-                    adds.append((vs.make_keys(st2, sect[t2]),
+                    adds.append((vs.make_keys(st2, p.sector[al[t2]]),
                                  np.int64(1) << (32 + n[t2] // G), al[t2]))
             m3 = t1m & ~t1hit & (gh == sh)
             r.dram_reads += _bc(T, sh[m3]) * LS
@@ -857,20 +924,19 @@ class _EpochSim:
 
         # Acquires expose their load latency (+ the flash charge when
         # scoped); plain loads never stall the issue pipeline.
-        if name != "ideal":
-            aqi = np.flatnonzero(p.kind[a:b] == _ACQUIRE) + a
-            if aqi.size:
-                lat_ops = np.full(b - a, float(cfg.latency.l1_hit))
-                lat_ops[al - a] = lat
-                extra = ((p.sc[aqi] != _CTA)
-                         * float(cfg.timing.bulk_invalidate_cycles))
-                r.stall += _bc(T, p.n[aqi], (lat_ops[aqi - a] + extra)
-                               / cfg.timing.latency_tolerance)
-        return keys, poss, vals, adds
+        if name != "ideal" and aq.size:
+            lat_aq = np.full(aq.size, float(cfg.latency.l1_hit))
+            at, chased = vs.locate(al, aq)  # acquires that missed the L1
+            lat_aq[chased] = lat[at[chased]]
+            extra = ((p.sc[aq] != _CTA)
+                     * float(cfg.timing.bulk_invalidate_cycles))
+            r.stall += _bc(T, p.n[aq], (lat_aq + extra)
+                           / cfg.timing.latency_tolerance)
+        return (*stream.events(), adds)
 
     # -- directory pass ------------------------------------------------
 
-    def _dir_pass(self, a, b, adds):
+    def _dir_pass(self, up, adds):
         """Replay the epoch's sharer registrations (from remote loads)
         and store-side ownership updates against the directory table.
 
@@ -880,8 +946,6 @@ class _EpochSim:
         approximation of DESIGN §15).
         """
         cfg, r = self.cfg, self.r
-        lo = np.searchsorted(self.up_pos, a)
-        hi = np.searchsorted(self.up_pos, b)
         if adds:
             ak = np.concatenate([k for k, _, _ in adds])
             av = np.concatenate([v for _, v, _ in adds])
@@ -896,13 +960,9 @@ class _EpochSim:
             prov = _or_key_reduce(pk, pv) if pk.size else (pk, pv)
 
         removed = []
-        if hi > lo:
-            uk = self.up_key[lo:hi]
-            upos = self.up_pos[lo:hi]
-            order = np.lexsort((upos, uk))
-            ku, qu = uk[order], upos[order]
-            me_o = self.up_me[lo:hi][order]
-            hl_o = self.up_hl[lo:hi][order]
+        if up.stop > up.start:
+            ku, qu = self.up_key[up], self.up_pos[up]
+            me_o, hl_o = self.up_me[up], self.up_hl[up]
             first = np.empty(ku.size, bool)
             first[0] = True
             first[1:] = ku[1:] != ku[:-1]
@@ -919,7 +979,7 @@ class _EpochSim:
             acks = self._fanout(ku[shared], others[shared], "store",
                                 prov, removed)
             if self.name == "gpuvi" and acks is not None and acks.size:
-                self._gpuvi_stalls(lo, hi, order, shared, acks)
+                self._gpuvi_stalls(up, shared, acks)
             # Fold the epoch's end state back into the table: the last
             # update of each sector owns it (home-local stores remove
             # the entry outright).
@@ -939,10 +999,7 @@ class _EpochSim:
             self.dir_tab.merge(ak, apos, av)
         # Directory capacity: evicted entries with sharers fan out
         # invalidations exactly like stores (Fig 10's traffic source).
-        du = vs.units_of(self.dir_tab.keys)
-        ds = vs.items_of(self.dir_tab.keys)
-        gid = du * self.dir_sets + batchmap.dir_set_of(ds, self.dir_sets)
-        vk, vv = self.dir_tab.capacity_evict(gid, cfg.dir_ways)
+        vk, vv = self.dir_tab.capacity_evict()
         live = vv != 0
         if live.any():
             r.stats.dir_evictions += int(np.count_nonzero(live))
@@ -959,72 +1016,56 @@ class _EpochSim:
 
     def _fanout(self, keys, masks, cause, prov, removed):
         """Deliver invalidations for each (directory key, sharer mask)
-        event.  Returns per-event farthest-ack latencies for GPU-VI."""
+        event: every set bit becomes one (event, target) pair in a
+        single broadcast.  Returns per-event farthest-ack latencies
+        for GPU-VI."""
         cfg, r = self.cfg, self.r
-        T, G = self.T, self.G
+        G = self.G
         tr = r.traffic
         inv_sz = cfg.message_sizes.invalidation
-        ack_sz = cfg.message_sizes.acknowledgment
         units = vs.units_of(keys)
         sects = vs.items_of(keys)
         victims = []
         acks = None
         if self.name in ("nhcc", "gpuvi"):
+            ev, tgt = _set_bits(masks, self.T)
+            keep = tgt != units[ev]
+            ev, tgt = ev[keep], tgt[keep]
+            src = units[ev]
+            tr.send(MsgType.INVALIDATION, src, tgt, size=inv_sz)
+            victims.append(self._sector_keys(tgt, sects[ev]))
             if self.name == "gpuvi":
                 acks = np.zeros(keys.size, np.float64)
-            for bit in range(T):
-                sel = ((masks >> bit) & 1).astype(bool) & (units != bit)
-                if not sel.any():
-                    continue
-                usel = units[sel]
-                tgt = np.full(usel.size, bit, np.int64)
-                tr.send(MsgType.INVALIDATION, usel, tgt, size=inv_sz)
-                victims.append(self._sector_keys(tgt, sects[sel]))
-                if acks is not None:
-                    tr.send(MsgType.INV_ACK, tgt, usel, size=ack_sz)
-                    rtt = np.where(usel // G == bit // G,
-                                   2.0 * cfg.latency.inter_gpm_hop,
-                                   2.0 * cfg.latency.inter_gpu_hop)
-                    acks[sel] = np.maximum(acks[sel], rtt)
+                tr.send(MsgType.INV_ACK, tgt, src,
+                        size=cfg.message_sizes.acknowledgment)
+                rtt = np.where(src // G == tgt // G,
+                               2.0 * cfg.latency.inter_gpm_hop,
+                               2.0 * cfg.latency.inter_gpu_hop)
+                np.maximum.at(acks, ev, rtt)
         else:  # hmg
-            for bit in range(G):
-                sel = ((masks >> bit) & 1).astype(bool)
-                if not sel.any():
-                    continue
-                usel = units[sel]
-                tgt = (usel // G) * G + bit
-                keep = tgt != usel
-                if keep.any():
-                    tr.send(MsgType.INVALIDATION, usel[keep], tgt[keep],
-                            size=inv_sz)
-                    victims.append(self._sector_keys(tgt[keep],
-                                                     sects[sel][keep]))
-            for g in range(cfg.num_gpus):
-                sel = ((masks >> (32 + g)) & 1).astype(bool)
-                if not sel.any():
-                    continue
-                usel, ssel = units[sel], sects[sel]
-                peer = g * G + batchmap.home_gpm_of_sectors(ssel, G)
-                tr.send(MsgType.INVALIDATION, usel, peer, size=inv_sz)
+            ev, bit = _set_bits(masks, G)
+            tgt = (units[ev] // G) * G + bit
+            keep = tgt != units[ev]
+            ev, tgt = ev[keep], tgt[keep]
+            tr.send(MsgType.INVALIDATION, units[ev], tgt, size=inv_sz)
+            victims.append(self._sector_keys(tgt, sects[ev]))
+            ev, gpu = _set_bits(masks, cfg.num_gpus, shift=32)
+            if ev.size:
+                ssel = sects[ev]
+                peer = gpu * G + batchmap.home_gpm_of_sectors(ssel, G)
+                tr.send(MsgType.INVALIDATION, units[ev], peer, size=inv_sz)
                 victims.append(self._sector_keys(peer, ssel))
                 # The peer GPU home forwards to its own GPM sharers and
                 # drops its directory entry (Table I's HMG transition).
                 pk = vs.make_keys(peer, ssel)
-                pv = _lookup_val(prov[0], prov[1], pk)
-                for m in range(G):
-                    s2 = ((pv >> m) & 1).astype(bool)
-                    if not s2.any():
-                        continue
-                    inner = np.full(int(s2.sum()), g * G + m, np.int64)
-                    fwd = inner != peer[s2]
-                    if fwd.any():
-                        tr.send(MsgType.INVALIDATION, peer[s2][fwd],
-                                inner[fwd], size=inv_sz)
-                        victims.append(self._sector_keys(inner[fwd],
-                                                         ssel[s2][fwd]))
+                j, m = _set_bits(_lookup_val(prov[0], prov[1], pk), G)
+                inner = gpu[j] * G + m
+                fwd = inner != peer[j]
+                j, inner = j[fwd], inner[fwd]
+                tr.send(MsgType.INVALIDATION, peer[j], inner, size=inv_sz)
+                victims.append(self._sector_keys(inner, ssel[j]))
                 removed.append(pk)
-        dropped = (self.l2_tab.drop_keys(np.concatenate(victims))
-                   if victims else 0)
+        dropped = self.l2_tab.drop_keys(np.concatenate(victims))
         if cause == "store":
             r.stats.lines_inv_by_store += dropped
         else:
@@ -1032,7 +1073,7 @@ class _EpochSim:
         r.l2c["invalidated_lines"] += dropped
         return acks
 
-    def _gpuvi_stalls(self, lo, hi, order, shared, acks):
+    def _gpuvi_stalls(self, up, shared, acks):
         """Multi-copy-atomic exposure: ops whose store fanned out
         invalidations stall for the farthest ack round trip (hidden by
         the transient-state factor).  Releases already charged their
@@ -1040,9 +1081,9 @@ class _EpochSim:
         replaces it."""
         cfg, r = self.cfg, self.r
         hidden = acks / cfg.timing.mca_transient_hiding
-        k = self.up_kind[lo:hi][order][shared]
-        n = self.up_n[lo:hi][order][shared]
-        hop = self.up_hop[lo:hi][order][shared]
+        k = self.up_kind[up][shared]
+        n = self.up_n[up][shared]
+        hop = self.up_hop[up][shared]
         base = float(cfg.latency.l1_hit + cfg.latency.l2_hit)
         stall = np.where(
             k == _STORE, hidden,
@@ -1053,32 +1094,18 @@ class _EpochSim:
 
     # -- epoch-end state folding ---------------------------------------
 
-    def _flashes(self, a, b):
-        """Apply the epoch's software flash events position-aware: an
-        entry survives a flash when it was (re)touched after the last
-        flash of its unit."""
-        r = self.r
-        # L1 slice flashes.
-        sel = (self.fl1_pos >= a) & (self.fl1_pos < b)
-        if sel.any() and self.l1_tab.keys.size:
-            uu, lastp = _last_pos_per_unit(self.fl1_unit[sel],
-                                           self.fl1_pos[sel])
-            tunit = vs.units_of(self.l1_tab.keys)
-            idx = np.searchsorted(uu, tunit)
-            idx[idx >= uu.size] = uu.size - 1
-            match = uu[idx] == tunit
-            drop = match & (self.l1_tab.pos < lastp[idx])
-            cnt = self.l1_tab.drop(drop)
-            r.l1["invalidated_lines"] += cnt
-            r.stats.lines_inv_by_acquire += cnt
-        # Predicate-classed L2 sweeps.
-        sel = (self.sw_pos >= a) & (self.sw_pos < b)
-        if not (sel.any() and self.l2_tab.keys.size):
+    def _sweeps(self, e):
+        """Apply epoch ``e``'s predicate-classed L2 sweeps position-aware:
+        an entry survives a sweep when it was (re)touched after the last
+        sweep of its unit."""
+        tab = self.l2_tab
+        events = [(cls, *last.epoch(e)) for cls, last in self.sweeps.items()]
+        events = [ev for ev in events if ev[1].size]
+        if not (events and tab.keys.size):
             return
         G = self.G
-        tk = self.l2_tab.keys
-        tunit = vs.units_of(tk)
-        tline = vs.items_of(tk)
+        tunit = vs.units_of(tab.keys)
+        tline = vs.items_of(tab.keys)
         tsh = batchmap.owners_of_pages(
             self.p.upages, self.p.owners, tline // self.cfg.lines_per_page)
         if self.name == "hsw":
@@ -1091,60 +1118,34 @@ class _EpochSim:
                      3: tsh // G != tunit // G}
         else:
             preds = {0: tsh != tunit}
-        drop = np.zeros(tk.size, bool)
-        for cls, pred in preds.items():
-            csel = sel & (self.sw_cls == cls)
-            if not csel.any():
-                continue
-            uu, lastp = _last_pos_per_unit(self.sw_unit[csel],
-                                           self.sw_pos[csel])
-            idx = np.searchsorted(uu, tunit)
-            idx[idx >= uu.size] = uu.size - 1
-            match = uu[idx] == tunit
-            drop |= match & (self.l2_tab.pos < lastp[idx]) & pred
-        cnt = self.l2_tab.drop(drop)
-        r.l2c["invalidated_lines"] += cnt
-        r.stats.lines_inv_by_acquire += cnt
+        drop = np.zeros(tab.keys.size, bool)
+        for cls, units, last in events:
+            drop |= _stale(tab.pos, tunit, units, last) & preds[cls]
+        cnt = tab.drop(drop)
+        self.r.l2c["invalidated_lines"] += cnt
+        self.r.stats.lines_inv_by_acquire += cnt
 
-    def _magic(self, a, b):
+    def _magic(self, e):
         """Ideal's oracle: a store wipes every other copy of its line,
-        machine-wide, for free."""
-        sel = (self.mi_pos >= a) & (self.mi_pos < b)
-        if not sel.any():
+        machine-wide, for free (the L1 share lives in the replay)."""
+        if self.magic is None or not self.l2_tab.keys.size:
             return
-        ul, lastp = _last_pos_per_unit(self.mi_line[sel], self.mi_pos[sel])
-        for tab, counter in ((self.l1_tab, self.r.l1),
-                             (self.l2_tab, self.r.l2c)):
-            if not tab.keys.size:
-                continue
-            tline = vs.items_of(tab.keys)
-            idx = np.searchsorted(ul, tline)
-            idx[idx >= ul.size] = ul.size - 1
-            match = ul[idx] == tline
-            counter["invalidated_lines"] += tab.drop(
-                match & (tab.pos < lastp[idx]))
+        lines, last = self.magic.epoch(e)
+        if lines.size:
+            tab = self.l2_tab
+            self.r.l2c["invalidated_lines"] += tab.drop(_stale(
+                tab.pos, vs.items_of(tab.keys), lines, last))
 
     def _capacity(self):
-        """Epoch-end capacity enforcement: LRU within each set, dirty
-        L2 victims write back to their own DRAM partition."""
-        cfg, r = self.cfg, self.r
-        if self.l1_tab.keys.size:
-            u = vs.units_of(self.l1_tab.keys)
-            ln = vs.items_of(self.l1_tab.keys)
-            gid = u * self.l1_sets + batchmap.cache_set_of(ln, self.l1_sets)
-            vk, _ = self.l1_tab.capacity_evict(gid, cfg.l1_ways)
-            r.l1["evictions"] += int(vk.size)
-        if self.l2_tab.keys.size:
-            u = vs.units_of(self.l2_tab.keys)
-            ln = vs.items_of(self.l2_tab.keys)
-            gid = u * self.l2_sets + batchmap.cache_set_of(ln, self.l2_sets)
-            vk, vv = self.l2_tab.capacity_evict(gid, cfg.l2_ways)
-            r.l2c["evictions"] += int(vk.size)
-            dirty = (vv & 1) != 0
-            if dirty.any():
-                r.l2c["dirty_evictions"] += int(np.count_nonzero(dirty))
-                r.dram_writes += _bc(self.T, vs.units_of(vk[dirty])) \
-                    * self.LS
+        """Epoch-end L2 capacity enforcement: LRU within each set, dirty
+        victims write back to their own DRAM partition."""
+        r = self.r
+        vk, vv = self.l2_tab.capacity_evict()
+        r.l2c["evictions"] += int(vk.size)
+        dirty = (vv & 1) != 0
+        if dirty.any():
+            r.l2c["dirty_evictions"] += int(np.count_nonzero(dirty))
+            r.dram_writes += _bc(self.T, vs.units_of(vk[dirty])) * self.LS
 
 
 # ---------------------------------------------------------------------------
@@ -1181,7 +1182,9 @@ class VectorizedThroughputEngine:
         r = _Run(cfg)
         # The wall timer covers the accounting passes only (the scalar
         # engine likewise times just its per-op loop); trace decode and
-        # geometry prep are memoized on the batch across runs.
+        # geometry prep are memoized on the batch across runs.  The L1
+        # replay is memoized too, so the first protocol of each L1 class
+        # on a trace pays for it.
         start = time.perf_counter()
         _static_charges(cfg, p, protocol_name, r)
         _EpochSim(cfg, p, protocol_name, r).run()

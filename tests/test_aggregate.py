@@ -280,9 +280,12 @@ class TestCheckPerfHistory:
                   if h.get("engine", "scalar") == "scalar"]
         assert scalar[-1]["ops_per_second"] == \
             bench["latest"]["ops_per_second"]
-        # The vectorized trajectory starts at its committed baseline.
+        # The vectorized trajectory starts at its committed baseline and
+        # ends at the latest recorded measurement.
         vectorized = [h for h in history
                       if h.get("engine") == "vectorized"]
         assert vectorized, "vectorized baseline point missing"
-        assert vectorized[-1]["ops_per_second"] == \
+        assert vectorized[0]["ops_per_second"] == \
             bench["baseline_vectorized"]["ops_per_second"]
+        assert vectorized[-1]["ops_per_second"] == \
+            bench["latest_vectorized"]["ops_per_second"]

@@ -16,6 +16,15 @@ than ``--tolerance`` (default 30%) below the committed baseline in
     PYTHONPATH=src python tools/check_perf.py
     PYTHONPATH=src python tools/check_perf.py --update --repeats 5
 
+The vectorized engine is also gated on *scaling*: its time per op on
+the same cells at ops-scale 1.0 (``SCALING_OPS_SCALE``) may be at most
+``SCALING_LIMIT`` times its time per op at 0.25, so a state pass whose
+cost grows with the trace rather than with the epoch fails here.
+Every pass generates its traces afresh, so memoized per-trace work is
+paid inside each pass, and runs each cell at both ops-scales back to
+back, so host speed drifting during a pass cancels out (see
+:func:`measure_scaling`).
+
 ``--telemetry-overhead`` additionally measures the same microbench
 with a no-op :class:`repro.telemetry.TelemetrySession` attached — the
 telemetry-off contract says the instrumented engines must stay within
@@ -26,6 +35,7 @@ telemetry-free path against the committed baseline).
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -43,6 +53,13 @@ PROTOCOLS = ("noremote", "sw", "hsw", "nhcc", "gpuvi", "hmg", "ideal")
 SCALE = 1 / 16
 OPS_SCALE = 0.25
 SEED = 1
+
+#: Vectorized scaling gate: time per op at this ops-scale over time per
+#: op at OPS_SCALE, the median of SCALING_PASSES passes, must stay within
+#: SCALING_LIMIT.
+SCALING_OPS_SCALE = 1.0
+SCALING_LIMIT = 1.3
+SCALING_PASSES = 3
 
 
 def measure_once(engine: str = "scalar",
@@ -92,6 +109,44 @@ def measure_once(engine: str = "scalar",
             ops += result.ops
             wall += result.wall_seconds
     return ops / wall
+
+
+def measure_scaling(passes: int = SCALING_PASSES) -> float:
+    """Vectorized time per op at ``SCALING_OPS_SCALE`` over time per op
+    at ``OPS_SCALE``: the median over ``passes`` passes.
+
+    Each pass generates fresh traces at both ops-scales, so memoized
+    per-trace work is paid inside it, then runs every microbench cell
+    at both ops-scales back to back, alternating which goes first.
+    Host speed drifting during a pass therefore slows both sides alike
+    instead of skewing the ratio.
+    """
+    from repro.engine.simulator import simulate
+
+    growths = []
+    for k in range(passes):
+        ctxs = [ExperimentContext(SystemConfig.paper_scaled(SCALE),
+                                  seed=SEED, ops_scale=scale)
+                for scale in (OPS_SCALE, SCALING_OPS_SCALE)]
+        for ctx in ctxs:
+            for workload in WORKLOADS:
+                ctx.trace(workload)  # generation outside the measurement
+        ops, wall = [0, 0], [0.0, 0.0]
+        cells = [(w, p) for w in WORKLOADS for p in PROTOCOLS]
+        for i, (workload, protocol) in enumerate(cells):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                ctx = ctxs[side]
+                result = simulate(ctx.trace(workload), ctx.cfg,
+                                  protocol=protocol, engine="vectorized",
+                                  workload_name=workload)
+                ops[side] += result.ops
+                wall[side] += result.wall_seconds
+        growths.append((wall[1] / ops[1]) / (wall[0] / ops[0]))
+        print(f"[vectorized] scaling pass {k + 1}/{passes}: "
+              f"{ops[0] / wall[0]:,.0f} ops/sec at ops-scale {OPS_SCALE}, "
+              f"{ops[1] / wall[1]:,.0f} at {SCALING_OPS_SCALE} "
+              f"(time per op {growths[-1]:.2f}x)")
+    return statistics.median(growths)
 
 
 def current_commit() -> str:
@@ -203,6 +258,18 @@ def main(argv=None) -> int:
                   f"more than {args.tolerance:.0%} below the committed "
                   f"baseline {baseline:,.0f}", file=sys.stderr)
             failed = True
+        if engine == "vectorized":
+            growth = measure_scaling()
+            print(f"[{engine}] scaling: time per op at ops-scale "
+                  f"{SCALING_OPS_SCALE} is {growth:.2f}x that at "
+                  f"{OPS_SCALE} (median of {SCALING_PASSES} passes; "
+                  f"limit {SCALING_LIMIT}x)")
+            if not args.no_gate and growth > SCALING_LIMIT:
+                print(f"PERF SCALING REGRESSION [{engine}]: time per op "
+                      f"grows {growth:.2f}x from ops-scale {OPS_SCALE} to "
+                      f"{SCALING_OPS_SCALE} (> {SCALING_LIMIT}x)",
+                      file=sys.stderr)
+                failed = True
 
     if args.update or args.record:
         BENCH_FILE.write_text(json.dumps(bench, indent=2) + "\n")
