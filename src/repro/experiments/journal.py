@@ -8,31 +8,25 @@ A :class:`RunJournal` makes sweeps resumable:
   list, sanitize flag).  A journal only resumes runs whose fingerprint
   matches, so ``--resume`` can never silently mix results from
   different configurations.
-* ``cells.jsonl`` — an append-only, flushed-per-line log of every
+* ``cells.jsonl`` — an :class:`~repro.applog.AppendLog` of every
   simulated (workload, protocol, config, fault-plan) cell: the
   fine-grained progress record a crashed run leaves behind.
 * ``results/<id>.json`` — one file per completed experiment, written
-  atomically (tmp + rename), holding the exact text the run printed.
-  ``--resume`` replays these verbatim, so an interrupted-and-resumed
-  sweep prints the same results as an uninterrupted one.
+  with :func:`~repro.applog.atomic_write`, holding the exact text the
+  run printed.  ``--resume`` replays these verbatim, so an
+  interrupted-and-resumed sweep prints the same results as an
+  uninterrupted one.
 
-The cells log is read tolerantly: a partial final line (the signature
-of a crash mid-append) is skipped, not fatal.
+Both follow the durability contract of DESIGN.md §13.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sys
-import zlib
 from pathlib import Path
 from typing import Optional, Union
 
-
-def _line_crc(record: dict) -> int:
-    """Checksum of a cell record's content (order-independent)."""
-    return zlib.crc32(json.dumps(record, sort_keys=True).encode())
+from repro.applog import AppendLog, atomic_write
 
 
 def config_key(cfg) -> str:
@@ -52,8 +46,7 @@ class RunJournal:
         self.results_dir = self.root / "results"
         self.results_dir.mkdir(parents=True, exist_ok=True)
         self.context_key = dict(context_key or {})
-        self._cells_path = self.root / "cells.jsonl"
-        self._cells_fh = None
+        self._cells = AppendLog(self.root / "cells.jsonl")
         self._current_experiment: Optional[str] = None
         meta_path = self.root / "meta.json"
         if meta_path.exists():
@@ -71,9 +64,8 @@ class RunJournal:
     # ------------------------------------------------------------------
 
     def _atomic_write(self, path: Path, payload: dict) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, default=str))
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(payload, indent=2,
+                                      default=str).encode())
 
     def begin_experiment(self, experiment_id: str) -> None:
         """Label subsequent cell records with their experiment."""
@@ -87,11 +79,9 @@ class RunJournal:
                     fault_plan=None, result=None, failed=None) -> None:
         """Append one completed simulation cell.
 
-        Each line carries a CRC32 of its own content and is written
-        with a single unbuffered append, so a crash mid-write leaves at
-        most one torn (and detectable) trailing line.  ``failed`` is
-        the error string for a cell the fabric gave up on; it is
-        journaled so a resumed run knows the gap was deliberate.
+        ``failed`` is the error string for a cell the fabric gave up
+        on; it is journaled so a resumed run knows the gap was
+        deliberate.
         """
         record = {
             "experiment": self._current_experiment,
@@ -105,57 +95,16 @@ class RunJournal:
             record["ops"] = result.ops
         if failed is not None:
             record["failed"] = str(failed)
-        record["crc"] = _line_crc(record)
-        if self._cells_fh is None:
-            # Heal a torn trailing line (crash mid-append) before
-            # writing, so the fresh record starts at a line boundary
-            # instead of gluing onto the garbage.
-            torn_tail = False
-            try:
-                with open(self._cells_path, "rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    torn_tail = fh.read(1) != b"\n"
-            except (OSError, ValueError):
-                pass
-            self._cells_fh = open(self._cells_path, "ab", buffering=0)
-            if torn_tail:
-                self._cells_fh.write(b"\n")
-        self._cells_fh.write((json.dumps(record) + "\n").encode())
+        self._cells.append(record)
 
     def cells(self) -> list:
         """Every readable cell record.
 
         Corrupt lines — a torn final append from a crashed run, or a
-        CRC mismatch from on-disk damage — are skipped with a warning
-        rather than aborting the resume.
+        CRC mismatch from on-disk damage — are skipped with a warning;
+        their cells are re-simulated on resume.
         """
-        if not self._cells_path.exists():
-            return []
-        records = []
-        with open(self._cells_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    self._warn_corrupt(lineno, "torn or malformed line")
-                    continue
-                if isinstance(record, dict) and "crc" in record:
-                    crc = record.pop("crc")
-                    if crc != _line_crc(record):
-                        self._warn_corrupt(lineno, "checksum mismatch")
-                        continue
-                records.append(record)
-        return records
-
-    def _warn_corrupt(self, lineno: int, why: str) -> None:
-        print(
-            f"warning: journal {self._cells_path}:{lineno}: {why}; "
-            "skipping record (cell will be re-simulated on resume)",
-            file=sys.stderr,
-        )
+        return self._cells.read()
 
     # ------------------------------------------------------------------
     # Experiment-level results (what --resume replays)
@@ -207,6 +156,4 @@ class RunJournal:
         )
 
     def close(self) -> None:
-        if self._cells_fh is not None:
-            self._cells_fh.close()
-            self._cells_fh = None
+        """Nothing to release: every append opens and closes the log."""

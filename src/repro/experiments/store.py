@@ -3,26 +3,19 @@
 The within-run cell memo (:class:`~repro.experiments.runner.ExperimentContext`)
 makes repeated cells free *inside* one process; this module makes them
 free *across* runs, branches and users.  A :class:`ResultStore` is a
-directory of append-only JSONL shards keyed by cell fingerprint
-(:func:`store_key`): every completed simulation is serialized once, and
-any later sweep that revisits the cell — same workload, protocol, full
-platform config, placement, fault plan, seed and trace scale — replays
-the stored :class:`~repro.engine.stats.SimResult` without touching an
-engine.
+directory of 16 :class:`~repro.applog.AppendLog` shards keyed by cell
+fingerprint (:func:`store_key`): every completed simulation is
+serialized once, and any later sweep that revisits the cell — same
+workload, protocol, full platform config, placement, fault plan, seed
+and trace scale — replays the stored
+:class:`~repro.engine.stats.SimResult` without touching an engine.
 
-Durability contract (the same one the trace cache and journal follow):
-
-* **Append-only, atomic records.**  Each record is one JSON line
-  written with a single ``os.write`` to an ``O_APPEND`` descriptor, so
-  concurrent sweeps on one host interleave whole records, never bytes.
-* **Versioned + checksummed.**  Records carry a schema version and a
-  CRC32 over the payload; a version bump or flipped bit invalidates
-  only that record.
-* **Corrupt means recompute, never crash.**  A torn final line (crash
-  or chaos-truncation mid-write), a CRC mismatch, or an unpicklable
-  payload is warned about and skipped — the cell simply misses and is
-  re-simulated, after which the fresh record supersedes the bad one
-  (last writer wins on duplicate keys).
+Records follow the durability contract of DESIGN.md §13.  A record
+carries the store's schema version and a base64 pickle of the result;
+a record that is torn, fails its CRC, has another version or does not
+unpickle is a miss, and the cell is re-simulated, after which the
+fresh record supersedes the bad one (last writer wins on duplicate
+keys).
 
 ``wall_seconds`` is stripped on ``put``: a replayed result spent no
 engine time, and the zero is the honest signal warm-store gates assert
@@ -34,11 +27,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 import pickle
 import sys
-import zlib
 from pathlib import Path
+
+from repro.applog import AppendLog
 
 #: Record schema version; bump on any incompatible change (old records
 #: then read as misses and are recomputed).
@@ -62,102 +55,58 @@ def store_key(cell_key: tuple, seed: int, ops_scale: float) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _valid(record: dict) -> bool:
+    """Whether ``record`` is a store record of the current schema."""
+    return (record.get("v") == SCHEMA
+            and isinstance(record.get("key"), str)
+            and isinstance(record.get("blob"), str))
+
+
+def _result(record: dict):
+    """(key, SimResult) from one record; None when it does not unpickle."""
+    if not _valid(record):
+        return None
+    try:
+        return record["key"], pickle.loads(base64.b64decode(record["blob"]))
+    except Exception:
+        return None
+
+
+def _meta(record: dict):
+    """A record's metadata, without the pickle cost."""
+    if not _valid(record):
+        return None
+    return {"key": record["key"], "workload": record.get("workload"),
+            "protocol": record.get("protocol")}
+
+
 class ResultStore:
     """One store directory of sharded, checksummed result records."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._logs = {digit: AppendLog(self.root / f"shard-{digit}.jsonl")
+                      for digit in _SHARD_DIGITS}
         #: Parsed shards: shard digit -> {key: SimResult}.
         self._shards: dict = {}
-        #: Open append descriptors, one per dirty shard.
-        self._fds: dict = {}
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        self.corrupt_records = 0
 
-    # ------------------------------------------------------------------
-    # Shard IO
-    # ------------------------------------------------------------------
-
-    def _shard_path(self, digit: str) -> Path:
-        return self.root / f"shard-{digit}.jsonl"
-
-    def _warn(self, message: str) -> None:
-        print(f"result store: {message}", file=sys.stderr)
+    @property
+    def corrupt_records(self) -> int:
+        """Bad lines skipped by every read of this store's shards."""
+        return sum(log.corrupt for log in self._logs.values())
 
     def _load_shard(self, digit: str) -> dict:
-        """Parse one shard tolerantly; corrupt records warn and skip."""
-        cached = self._shards.get(digit)
-        if cached is not None:
-            return cached
-        records: dict = {}
-        path = self._shard_path(digit)
-        if path.exists():
-            bad = 0
-            with open(path, "rb") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    result = self._decode(line)
-                    if result is None:
-                        bad += 1
-                        continue
-                    key, sim_result = result
-                    records[key] = sim_result  # last writer wins
-            if bad:
-                self.corrupt_records += bad
-                self._warn(
-                    f"{path.name}: skipped {bad} corrupt record(s) "
-                    f"(torn append or bit rot); affected cells will be "
-                    f"re-simulated"
-                )
-        self._shards[digit] = records
+        """Parse one shard once; corrupt records warn and skip."""
+        records = self._shards.get(digit)
+        if records is None:
+            # Last writer wins on duplicate keys.
+            records = self._shards[digit] = dict(
+                self._logs[digit].read(_result))
         return records
-
-    def _decode(self, line: bytes):
-        """(key, SimResult) from one record line; None when corrupt."""
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("v") != SCHEMA:
-            return None
-        key = record.get("key")
-        blob = record.get("blob")
-        if not isinstance(key, str) or not isinstance(blob, str):
-            return None
-        payload = blob.encode("ascii")
-        if zlib.crc32(payload) != record.get("crc"):
-            return None
-        try:
-            return key, pickle.loads(base64.b64decode(payload))
-        except Exception:
-            return None
-
-    def _append(self, digit: str, line: bytes) -> None:
-        fd = self._fds.get(digit)
-        if fd is None:
-            path = self._shard_path(digit)
-            # A crash mid-append leaves a torn final line with no
-            # newline; appending straight onto it would glue the fresh
-            # record to the garbage and lose both.  Heal the boundary
-            # first so the torn bytes become one isolated bad line.
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    torn_tail = fh.read(1) != b"\n"
-            except (OSError, ValueError):
-                torn_tail = False  # absent or empty shard
-            fd = os.open(
-                path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            self._fds[digit] = fd
-            if torn_tail:
-                os.write(fd, b"\n")
-        os.write(fd, line)
 
     # ------------------------------------------------------------------
     # Public API
@@ -186,15 +135,13 @@ class ResultStore:
         blob = base64.b64encode(
             pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL)
         ).decode("ascii")
-        record = {
+        self._logs[key[0]].append({
             "v": SCHEMA,
             "key": key,
             "workload": workload,
             "protocol": protocol,
-            "crc": zlib.crc32(blob.encode("ascii")),
             "blob": blob,
-        }
-        self._append(key[0], (json.dumps(record) + "\n").encode())
+        })
         self._load_shard(key[0])[key] = stored
         self.puts += 1
 
@@ -217,9 +164,7 @@ class ResultStore:
         }
 
     def close(self) -> None:
-        for fd in self._fds.values():
-            os.close(fd)
-        self._fds.clear()
+        """Nothing to release: every append opens and closes its shard."""
 
     def __enter__(self):
         return self
@@ -240,47 +185,11 @@ class ResultStore:
         """
         merged: dict = {}
         for digit in _SHARD_DIGITS:
-            path = self._shard_path(digit)
-            if not path.exists():
-                continue
-            bad = 0
-            with open(path, "rb") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    meta = self._decode_meta(line)
-                    if meta is None:
-                        bad += 1
-                        continue
-                    meta["shard"] = path.name
-                    merged[meta["key"]] = meta
-            if bad:
-                self.corrupt_records += bad
-                self._warn(f"{path.name}: skipped {bad} corrupt "
-                           f"record(s) during scan")
+            log = self._logs[digit]
+            for meta in log.read(_meta):
+                meta["shard"] = log.path.name
+                merged[meta["key"]] = meta
         return list(merged.values())
-
-    @staticmethod
-    def _decode_meta(line: bytes):
-        """Record metadata (CRC-validated) without the pickle cost."""
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("v") != SCHEMA:
-            return None
-        key = record.get("key")
-        blob = record.get("blob")
-        if not isinstance(key, str) or not isinstance(blob, str):
-            return None
-        if zlib.crc32(blob.encode("ascii")) != record.get("crc"):
-            return None
-        return {
-            "key": key,
-            "workload": record.get("workload"),
-            "protocol": record.get("protocol"),
-        }
 
     def summary(self) -> dict:
         """Scan digest: totals plus per-protocol/workload counts."""

@@ -188,7 +188,6 @@ class Observatory:
             "registry": str(self.registry_dir)
             if self.registry_dir else None,
             "auth_required": self.tokens.required,
-            "ingest_queue_depth": ingest["queue_depth"],
             "ingest": ingest,
         }
 

@@ -12,21 +12,18 @@ A :class:`RunRegistry` is the cross-run session object: a durable
 index of every telemetry run directory, results store, and observe
 capture produced on this host, which the sweep CLI registers into the
 moment a sweep *starts* and the observability service
-(``observe --serve``) discovers from.  It follows the repo's
-append-only durability contract (single-write ``O_APPEND`` records,
-per-line CRC, corrupt lines warn and skip, last writer wins per
-directory).
+(``observe --serve``) discovers from.  It is an
+:class:`~repro.applog.AppendLog` under the durability contract of
+DESIGN.md §13; the last record per directory wins.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import sys
 import time
-import zlib
 from pathlib import Path
 
+from repro.applog import AppendLog
 from repro.engine.throughput import ThroughputSink
 from repro.telemetry.interval import IntervalSampler
 from repro.telemetry.tracer import NULL_TRACER, ChromeTracer, Tracer
@@ -38,6 +35,22 @@ DEFAULT_REGISTRY = ".repro-registry"
 #: Registry record schema; bump on any incompatible change (old lines
 #: then parse as corrupt and are skipped).
 REGISTRY_SCHEMA = 1
+
+
+def _checked(record: dict):
+    """``record`` if it is a registry record of the current schema."""
+    if record.get("v") == REGISTRY_SCHEMA and "kind" in record \
+            and "dir" in record:
+        return record
+    return None
+
+
+def _latest(records) -> list:
+    """The last record per ``(kind, dir)``, at its first record's place."""
+    merged: dict = {}
+    for record in records:
+        merged[(record["kind"], record["dir"])] = record
+    return list(merged.values())
 
 
 class RunRegistry:
@@ -57,6 +70,7 @@ class RunRegistry:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "registry.jsonl"
+        self._log = AppendLog(self.path)
 
     # ------------------------------------------------------------------
     # Writing
@@ -65,24 +79,14 @@ class RunRegistry:
     def register(self, kind: str, directory, **info) -> dict:
         """Append one record; returns the record dict."""
         record = {
+            "v": REGISTRY_SCHEMA,
             "kind": kind,
             "dir": str(Path(directory).resolve()),
             "registered": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "pid": os.getpid(),
             "info": {k: v for k, v in info.items() if v is not None},
         }
-        payload = json.dumps(record, sort_keys=True)
-        line = json.dumps({
-            "v": REGISTRY_SCHEMA,
-            "crc": zlib.crc32(payload.encode()),
-            "record": record,
-        }, sort_keys=True) + "\n"
-        fd = os.open(self.path,
-                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        self._log.append(record)
         return record
 
     def register_run(self, directory, *, experiments=None, settings=None,
@@ -133,43 +137,7 @@ class RunRegistry:
         a directory wins (so ``info.status`` reflects the last update).
         Corrupt lines warn and are skipped, never raised.
         """
-        merged: dict = {}
-        bad = 0
-        if self.path.exists():
-            with open(self.path, "rb") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    record = self._decode(line)
-                    if record is None:
-                        bad += 1
-                        continue
-                    # Last record wins; dict assignment keeps the
-                    # key's first-registration position.
-                    merged[(record["kind"], record["dir"])] = record
-        if bad:
-            print(f"run registry: skipped {bad} corrupt record(s) in "
-                  f"{self.path}", file=sys.stderr)
-        return list(merged.values())
-
-    @staticmethod
-    def _decode(line: bytes):
-        try:
-            wrapper = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(wrapper, dict) \
-                or wrapper.get("v") != REGISTRY_SCHEMA:
-            return None
-        record = wrapper.get("record")
-        if not isinstance(record, dict) or "kind" not in record \
-                or "dir" not in record:
-            return None
-        payload = json.dumps(record, sort_keys=True)
-        if zlib.crc32(payload.encode()) != wrapper.get("crc"):
-            return None
-        return record
+        return _latest(self._log.read(_checked))
 
     def _kind(self, kind: str) -> list:
         return [r for r in self.entries() if r["kind"] == kind]
@@ -203,57 +171,38 @@ class RunRegistry:
         longer exists (``drop_missing``) or whose last registration is
         older than ``older_than_days``.
 
-        The rewrite is atomic (temp file + ``os.replace``), so a crash
-        mid-prune leaves either the old file or the new one, never a
-        mix, and concurrent readers always see a complete file.
-        Returns a stats dict: kept/superseded/dropped counts and bytes
-        before/after.
+        The rewrite is :meth:`~repro.applog.AppendLog.compact`: a crash
+        mid-prune leaves either the old file or the new one, readers
+        always see a complete file, and a registration that arrives
+        meanwhile survives.  Returns a stats dict: intact records
+        before, kept/superseded/dropped counts, and bytes before/after.
         """
-        raw_lines = 0
-        if self.path.exists():
-            with open(self.path, "rb") as fh:
-                raw_lines = sum(1 for line in fh if line.strip())
-        bytes_before = (self.path.stat().st_size
-                        if self.path.exists() else 0)
-        live = self.entries()  # last-writer-wins, corrupt lines dropped
-        kept, dropped = [], []
         cutoff = None
         if older_than_days is not None:
             cutoff = time.strftime(
                 "%Y-%m-%dT%H:%M:%S",
                 time.localtime(time.time() - older_than_days * 86400),
             )
-        for record in live:
-            if drop_missing and not os.path.isdir(record["dir"]):
-                dropped.append(record)
-                continue
-            if cutoff is not None and record["registered"] < cutoff:
-                dropped.append(record)
-                continue
-            kept.append(record)
-        stats = {
-            "records_before": raw_lines,
-            "kept": len(kept),
-            "superseded": raw_lines - len(live),
-            "dropped": len(dropped),
-            "bytes_before": bytes_before,
-            "bytes_after": bytes_before,
-        }
+        stats: dict = {}
+
+        def keep(records: list) -> list:
+            live = _latest(r for r in records if _checked(r))
+            kept = [r for r in live
+                    if not (drop_missing and not os.path.isdir(r["dir"]))
+                    and not (cutoff is not None
+                             and r["registered"] < cutoff)]
+            size = self.path.stat().st_size if self.path.exists() else 0
+            stats.update(records_before=len(records), kept=len(kept),
+                         superseded=len(records) - len(live),
+                         dropped=len(live) - len(kept),
+                         bytes_before=size, bytes_after=size)
+            return kept
+
         if dry_run:
-            return stats
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        with open(tmp, "wb") as fh:
-            for record in kept:
-                payload = json.dumps(record, sort_keys=True)
-                fh.write((json.dumps({
-                    "v": REGISTRY_SCHEMA,
-                    "crc": zlib.crc32(payload.encode()),
-                    "record": record,
-                }, sort_keys=True) + "\n").encode())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        stats["bytes_after"] = self.path.stat().st_size
+            keep(self._log.read())
+        else:
+            self._log.compact(keep)
+            stats["bytes_after"] = self.path.stat().st_size
         return stats
 
 

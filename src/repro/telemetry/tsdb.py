@@ -2,12 +2,10 @@
 
 The ingestion half of the push pipeline (:mod:`repro.telemetry.metrics`
 is the client half).  A :class:`MetricsStore` accepts validated record
-batches from ``/ingest``, appends them to ``metrics.jsonl`` under the
-repo's append-only durability contract (single ``O_APPEND`` write per
-batch, per-line CRC over the sorted-key JSON payload, corrupt lines
-warn and skip — the same wrapper the
-:class:`~repro.telemetry.session.RunRegistry` uses), and folds every
-point into in-memory rollups:
+batches from ``/ingest``, appends each as one record to
+``metrics.jsonl``, an :class:`~repro.applog.AppendLog` under the
+durability contract of DESIGN.md §13, and folds every point into
+in-memory rollups:
 
 * one **series** per (namespace × run × metric × label set), capped to
   bound a misbehaving client's cardinality,
@@ -30,16 +28,13 @@ handlers run on ThreadingHTTPServer threads.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
-import sys
 import threading
 import time
-import zlib
 from pathlib import Path
 
+from repro.applog import AppendLog
 from repro.telemetry.metrics import (METRICS_SCHEMA, expand_record,
                                      validate_record)
 
@@ -51,6 +46,15 @@ METRICS_LOG = "metrics.jsonl"
 DEFAULT_NAMESPACE = "default"
 
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def _checked(record: dict):
+    """``record`` if it is a metrics-log record of the current schema."""
+    if record.get("v") == METRICS_SCHEMA \
+            and isinstance(record.get("namespace"), str) \
+            and isinstance(record.get("batch"), dict):
+        return record
+    return None
 
 
 def _prom_name(metric: str) -> str:
@@ -141,15 +145,13 @@ class MetricsStore:
                  max_batch_records: int = 4096, event_buffer: int = 256,
                  replay: bool = True):
         self.log_path = Path(log_path) if log_path else None
+        self._log = AppendLog(self.log_path) if log_path else None
         self.window = window
         self.windows_per_series = max(1, int(windows_per_series))
         self.max_series = max(1, int(max_series))
         self.max_batch_records = max_batch_records
         self._lock = threading.Lock()
         self._series: dict = {}  # key tuple -> Series
-        #: Batches land here first, then drain under the lock; depth is
-        #: what /healthz reports as ingest backlog.
-        self._queue: list = []
         # Bounded event ring for SSE fan-out: (seq, event dict).
         self._events: list = []
         self._event_seq = 0
@@ -160,67 +162,15 @@ class MetricsStore:
         self.rejected = 0
         self.unauthorized = 0
         self.series_dropped = 0
-        self.corrupt_log_lines = 0
-        if replay and self.log_path and self.log_path.exists():
-            self._replay()
-
-    # -- durability ----------------------------------------------------
-
-    def _append_log(self, namespace: str, batch: dict) -> None:
-        if self.log_path is None:
-            return
-        record = {"namespace": namespace, "batch": batch}
-        payload = json.dumps(record, sort_keys=True)
-        line = json.dumps({
-            "v": METRICS_SCHEMA,
-            "crc": zlib.crc32(payload.encode()),
-            "record": record,
-        }, sort_keys=True) + "\n"
-        self.log_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.log_path,
-                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
-
-    def _replay(self) -> None:
-        """Rebuild rollups from the log; corrupt lines warn and skip."""
-        bad = 0
-        with open(self.log_path, "rb") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                record = self._decode(line)
-                if record is None:
-                    bad += 1
-                    continue
+        if replay and self._log is not None:
+            for record in self._log.read(_checked):
                 self._fold_batch(record["namespace"], record["batch"],
                                  publish=False)
-        if bad:
-            self.corrupt_log_lines += bad
-            print(f"metrics store: skipped {bad} corrupt record(s) in "
-                  f"{self.log_path}", file=sys.stderr)
 
-    @staticmethod
-    def _decode(line: bytes):
-        try:
-            wrapper = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(wrapper, dict) \
-                or wrapper.get("v") != METRICS_SCHEMA:
-            return None
-        record = wrapper.get("record")
-        if not isinstance(record, dict) \
-                or not isinstance(record.get("namespace"), str) \
-                or not isinstance(record.get("batch"), dict):
-            return None
-        payload = json.dumps(record, sort_keys=True)
-        if zlib.crc32(payload.encode()) != wrapper.get("crc"):
-            return None
-        return record
+    @property
+    def corrupt_log_lines(self) -> int:
+        """Bad lines the replay of ``metrics.jsonl`` skipped."""
+        return self._log.corrupt if self._log is not None else 0
 
     # -- ingestion -----------------------------------------------------
 
@@ -265,17 +215,14 @@ class MetricsStore:
             "records": accepted,
         }
         with self._lock:
-            self._queue.append((namespace, batch))
             self.batches += 1
             self.rejected += rejected
-            # Drain synchronously: the queue is real under concurrent
-            # handler threads (depth > 0 while another thread folds),
-            # but a batch is durable + rolled up before its 200 goes
-            # out — no background writer to race with in tests.
-            while self._queue:
-                ns, queued = self._queue.pop(0)
-                self._append_log(ns, queued)
-                self._fold_batch(ns, queued)
+            # A batch is durable and rolled up before its 200 goes out.
+            if self._log is not None:
+                self.log_path.parent.mkdir(parents=True, exist_ok=True)
+                self._log.append({"v": METRICS_SCHEMA,
+                                  "namespace": namespace, "batch": batch})
+            self._fold_batch(namespace, batch)
         return {"accepted": len(accepted), "rejected": rejected,
                 "errors": errors}
 
@@ -324,10 +271,6 @@ class MetricsStore:
 
     # -- reads ---------------------------------------------------------
 
-    def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -338,7 +281,6 @@ class MetricsStore:
                 "series": len(self._series),
                 "series_dropped": self.series_dropped,
                 "corrupt_log_lines": self.corrupt_log_lines,
-                "queue_depth": len(self._queue),
                 "log": str(self.log_path) if self.log_path else None,
             }
 

@@ -1,22 +1,28 @@
-"""Two processes appending to one store shard / journal heal safely.
+"""Two processes appending to one durable log heal safely.
 
-The store and journal both promise single-write O_APPEND records plus
-a heal-on-first-open of any torn trailing line.  That contract has to
-hold when *two* writer processes share the file: each may race the
-torn-tail probe, but because every record lands in one complete
-``os.write`` the worst outcome is an extra blank heal line — never a
-lost or double-counted record, and never a record glued onto garbage.
+The store shards, the journal, the run registry and the metrics log
+are all :class:`~repro.applog.AppendLog` files: single-write O_APPEND
+records plus a heal-on-first-append of any torn trailing line.  That
+contract has to hold when *two* writer processes share the file: each
+may race the torn-tail probe, but because every record lands in one
+complete ``os.write`` the worst outcome is an extra blank heal line —
+never a lost or double-counted record, and never a record glued onto
+garbage.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.config import SystemConfig
 from repro.experiments.journal import RunJournal
 from repro.experiments.store import ResultStore
 from repro.faults.chaos import truncate_tail
+from repro.telemetry.metrics import METRICS_SCHEMA
+from repro.telemetry.session import RunRegistry
+from repro.telemetry.tsdb import MetricsStore
 
 CFG = SystemConfig.paper_scaled(1 / 64)
 CONTEXT = {"suite": "concurrent-writers"}
@@ -54,6 +60,24 @@ def _journal_writer(root, tag):
         journal.record_cell("CoMD", f"{tag}{i}", CFG,
                             result=FakeResult(cycles=i + 1))
     journal.close()
+
+
+def _registry_writer(root, tag):
+    registry = RunRegistry(root)
+    for i in range(PER_WRITER):
+        registry.register_run(root / f"{tag}{i}", status="completed")
+
+
+def _metrics_writer(path, tag):
+    store = MetricsStore(path, replay=False)
+    for i in range(PER_WRITER):
+        store.ingest({"v": METRICS_SCHEMA, "run": f"{tag}{i}",
+                      "records": [{"metric": "m", "value": 1.0}]})
+
+
+def _expected():
+    return sorted(f"{tag}{i}" for tag in ("a", "b")
+                  for i in range(PER_WRITER))
 
 
 def _run_writers(target, root):
@@ -144,3 +168,39 @@ class TestJournalConcurrentWriters:
             assert record["workload"] == "CoMD"
             assert record["cycles"] >= 1
         reader.close()
+
+
+class TestRegistryConcurrentWriters:
+    def test_torn_tail_healed_no_loss_no_dup(self, tmp_path, capsys):
+        root = tmp_path / "reg"
+        RunRegistry(root).register_run(root / "seed")
+        truncate_tail(root / "registry.jsonl", nbytes=5)
+
+        _run_writers(_registry_writer, root)
+
+        entries = RunRegistry(root).entries()
+        names = [Path(e["dir"]).name for e in entries]
+        # Every run is present, written once; the torn seed is gone.
+        assert sorted(names) == _expected()
+        raw = (root / "registry.jsonl").read_bytes()
+        assert all(raw.count(f'/{name}"'.encode()) == 1 for name in names)
+        assert all(e["info"]["status"] == "completed" for e in entries)
+        assert "skipped 1 corrupt record(s)" in capsys.readouterr().err
+
+
+class TestMetricsConcurrentWriters:
+    def test_torn_tail_healed_no_loss_no_dup(self, tmp_path):
+        log = tmp_path / "reg" / "metrics.jsonl"
+        _metrics_writer(log, "seed")
+        truncate_tail(log, nbytes=5)
+
+        _run_writers(_metrics_writer, log)
+
+        reborn = MetricsStore(log)
+        series = reborn.query()["series"]
+        # One batch per run survived, each replayed exactly once (the
+        # torn tail swallowed only the last seed batch).
+        runs = [s["run"] for s in series if not s["run"].startswith("seed")]
+        assert sorted(runs) == _expected()
+        assert all(s["count"] == 1 for s in series)
+        assert reborn.stats()["corrupt_log_lines"] == 1

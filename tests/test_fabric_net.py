@@ -9,7 +9,6 @@ byte-identical to the serial reference.
 from __future__ import annotations
 
 import hmac
-import json
 import os
 import signal
 import socket
@@ -18,12 +17,12 @@ import subprocess
 import sys
 import threading
 import time
-import zlib
 from collections import deque
 from pathlib import Path
 
 import pytest
 
+from repro.applog import encode
 from repro.config import SystemConfig
 from repro.experiments.fabric_net import (
     _WELCOME,
@@ -425,12 +424,9 @@ class TestRegistryFleet:
 
 def _crafted_record(directory, kind="run", registered="2000-01-01T00:00:00"):
     """A registry line with a forged timestamp (prune retention tests)."""
-    record = {"kind": kind, "dir": str(Path(directory).resolve()),
-              "registered": registered, "pid": 1, "info": {}}
-    payload = json.dumps(record, sort_keys=True)
-    return json.dumps({"v": REGISTRY_SCHEMA,
-                       "crc": zlib.crc32(payload.encode()),
-                       "record": record}, sort_keys=True) + "\n"
+    return encode({"v": REGISTRY_SCHEMA, "kind": kind,
+                   "dir": str(Path(directory).resolve()),
+                   "registered": registered, "pid": 1, "info": {}})
 
 
 class TestRegistryPrune:
@@ -474,7 +470,7 @@ class TestRegistryPrune:
         old_dir.mkdir()
         new_dir = tmp_path / "new"
         new_dir.mkdir()
-        with open(registry.path, "a") as fh:
+        with open(registry.path, "ab") as fh:
             fh.write(_crafted_record(old_dir))
         registry.register_run(new_dir, status="completed")
         stats = registry.prune(older_than_days=365)

@@ -98,7 +98,6 @@ class TestEndpoints:
         assert body["uptime_seconds"] >= 0
         assert body["registry"].endswith("reg")
         assert body["auth_required"] is False
-        assert body["ingest_queue_depth"] == 0
         assert body["ingest"]["batches"] == 0
         with urllib.request.urlopen(url + "/", timeout=10) as resp:
             html = resp.read().decode()

@@ -124,11 +124,6 @@ class TestIngest:
         assert store.stats()["series"] == 2
         assert store.stats()["series_dropped"] == 2
 
-    def test_queue_drains_before_reply(self, tmp_path):
-        store = _store(tmp_path)
-        store.ingest(_batch([_point()]))
-        assert store.queue_depth() == 0
-
 
 class TestDurability:
     def test_replay_rebuilds_rollups(self, tmp_path):

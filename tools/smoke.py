@@ -15,8 +15,8 @@ exercises in isolation also compose:
 5. a verification mini-gate: exhaustive model check of one geometry,
    one litmus combination, and the mutation catch;
 6. the observability service's /healthz contract: version, uptime,
-   registry path, and ingest queue depth (what fleet probes and the
-   CI serve job key on).
+   registry path, and ingest stats (what fleet probes and the CI serve
+   job key on).
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def main() -> int:
         assert health["version"] == __version__, health
         assert health["uptime_seconds"] >= 0, health
         assert health["registry"] == str(Path(tmp) / "reg"), health
-        assert health["ingest_queue_depth"] == 0, health
         assert "ingest" in health and "batches" in health["ingest"], \
             health
     print("smoke: /healthz contract ok")
