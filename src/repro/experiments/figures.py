@@ -320,13 +320,9 @@ def granularity(ctx: ExperimentContext = None,
 def singlegpu(ctx: ExperimentContext = None, **kwargs) -> ExperimentResult:
     """Section VII-A: on a single GPU, SW and HW coherence both sit
     close to idealized caching."""
-    if ctx is None:
-        kwargs.setdefault("cfg", None)
-        ctx = ExperimentContext(**kwargs)
-    cfg1 = ctx.cfg.replace(num_gpus=1)
-    ctx1 = ExperimentContext(cfg1, seed=ctx.seed, ops_scale=ctx.ops_scale,
-                             workloads=ctx.workloads)
-    table = ctx1.speedup_table(("sw", "nhcc", "ideal"))
+    ctx = _ctx(ctx, **kwargs)
+    table = ctx.derive(ctx.cfg.replace(num_gpus=1)).speedup_table(
+        ("sw", "nhcc", "ideal"))
     text = format_speedup_table(table, PROTOCOL_LABELS)
     text += ("\n\n(high inter-GPM bandwidth keeps every protocol near "
              "ideal within one GPU — Section VII-A)")
@@ -388,10 +384,7 @@ def scaleout(ctx: ExperimentContext = None, gpu_counts=(1, 2, 4, 8),
     protocols = ("sw", "nhcc", "hsw", "hmg", "ideal")
     series = {p: {} for p in protocols}
     for count in gpu_counts:
-        cfg = ctx.cfg.replace(num_gpus=count)
-        sub = ExperimentContext(cfg, seed=ctx.seed,
-                                ops_scale=ctx.ops_scale,
-                                workloads=ctx.workloads)
+        sub = ctx.derive(ctx.cfg.replace(num_gpus=count))
         table = sub.speedup_table(protocols)
         for p, gm in table.geomeans().items():
             series[p][f"{count} GPU"] = gm
@@ -421,10 +414,7 @@ def mca(ctx: ExperimentContext = None, gpu_counts=(1, 2, 4),
     protocols = ("nhcc", "gpuvi")
     series = {p: {} for p in protocols}
     for count in gpu_counts:
-        cfg = ctx.cfg.replace(num_gpus=count)
-        sub = ExperimentContext(cfg, seed=ctx.seed,
-                                ops_scale=ctx.ops_scale,
-                                workloads=ctx.workloads)
+        sub = ctx.derive(ctx.cfg.replace(num_gpus=count))
         table = sub.speedup_table(protocols)
         for p, gm in table.geomeans().items():
             series[p][f"{count} GPU"] = gm

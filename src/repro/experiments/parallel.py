@@ -22,8 +22,8 @@ Design constraints, in priority order:
 3. **Cheap workers.**  Workers regenerate (or, with a trace cache
    directory, deserialize) traces on first use and memoize them per
    process; a worker simulating 7 protocols of one workload pays for
-   its trace once.  Like the serial path, they generate every trace
-   against the context's base config, never a sweep variant's, so a
+   its trace once.  Each cell names the config its trace is generated
+   against (its context's base config, never a sweep variant's), so a
    variant simulates the same trace serially and in parallel.
 """
 
@@ -42,13 +42,18 @@ from repro.config import SystemConfig
 
 @dataclass(frozen=True)
 class Cell:
-    """One simulation the sweep needs: fully self-describing, picklable."""
+    """One simulation the sweep needs: fully self-describing, picklable.
+
+    ``cfg`` is the platform the cell is simulated on; ``trace_cfg`` is
+    the config its trace is generated against (``None``: ``cfg``).
+    """
 
     workload: str
     protocol: str
     cfg: SystemConfig
     placement: str = "first_touch"
     fault_plan: object = None
+    trace_cfg: Optional[SystemConfig] = None
 
 
 def config_fingerprint(cfg: SystemConfig) -> str:
@@ -128,16 +133,15 @@ def _worker_trace(workload: str, cfg: SystemConfig, seed: int,
 def run_cell(payload):
     """Simulate one cell in a worker process.
 
-    ``payload`` is ``(cell, trace_cfg, seed, ops_scale, sanitize,
-    cache_dir)``, where ``trace_cfg`` is the context's base config the
-    trace is generated against (``cell.cfg`` is what it is simulated
-    on); module-level so it pickles by reference under the default
-    start methods.
+    ``payload`` is ``(cell, seed, ops_scale, sanitize, cache_dir)``;
+    module-level so it pickles by reference under the default start
+    methods.
     """
-    cell, trace_cfg, seed, ops_scale, sanitize, cache_dir = payload
+    cell, seed, ops_scale, sanitize, cache_dir = payload
     from repro.core.sanitizer import CoherenceViolation
     from repro.engine.simulator import simulate
 
+    trace_cfg = cell.trace_cfg if cell.trace_cfg is not None else cell.cfg
     trace = _worker_trace(cell.workload, trace_cfg, seed, ops_scale,
                           cache_dir)
     try:
@@ -182,9 +186,6 @@ class SweepExecutor:
     :attr:`failed` instead of aborting the sweep.
     """
 
-    #: The context's base config: every cell's trace is generated
-    #: against it, as in :meth:`ExperimentContext.trace`.
-    trace_cfg: SystemConfig
     jobs: int = 1
     seed: int = 1
     ops_scale: float = 1.0
@@ -288,8 +289,8 @@ class SweepExecutor:
         cells = list(cells)
         self.cells_run += len(cells)
         payloads = [
-            (cell, self.trace_cfg, self.seed, self.ops_scale,
-             self.sanitize, self.trace_cache_dir)
+            (cell, self.seed, self.ops_scale, self.sanitize,
+             self.trace_cache_dir)
             for cell in cells
         ]
         if self.distributed and cells:

@@ -9,11 +9,15 @@ a figure that normalizes five protocols against the same baseline
 simulates that baseline once, and a sweep that revisits a cell pays
 nothing.  With ``jobs > 1``, cache-missing cells fan out across worker
 processes with deterministic, serial-identical results (see
-:mod:`repro.experiments.parallel`).
+:mod:`repro.experiments.parallel`).  A driver that needs traces
+generated against another platform (one GPU, eight GPUs) asks for
+:meth:`ExperimentContext.derive`, which keeps every one of these
+services.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
@@ -22,6 +26,7 @@ from repro.core.registry import PROTOCOLS
 from repro.core.sanitizer import CoherenceViolation
 from repro.engine.simulator import simulate
 from repro.experiments.parallel import Cell, SweepExecutor, cell_key
+from repro.trace.cache import geometry_fingerprint
 from repro.trace.stream import Trace
 from repro.trace.workloads import FIGURE_ORDER, WORKLOADS
 
@@ -43,26 +48,83 @@ class ExperimentResult:
         return f"{self.title}\n{bar}\n{self.text}"
 
 
-class ExperimentContext:
-    """Shared machinery: config, trace cache, run helpers.
+@dataclass(eq=False)
+class SweepServices:
+    """Everything one sweep's contexts share, by reference.
 
-    ``fault_plan`` applies a default :class:`repro.faults.FaultPlan` to
-    every run (drivers may override per call); ``sanitize`` runs the
-    coherence sanitizer inside every simulation; ``journal`` is an
-    optional :class:`repro.experiments.journal.RunJournal` receiving a
-    record of every completed cell (crash-safe progress tracking);
-    ``jobs`` sets the worker-process count for sweep fan-out (1 =
-    serial, the default); ``trace_cache`` names a directory for the
-    persistent binary trace cache shared by parent and workers;
-    ``repro_dir`` names a directory where any sanitizer violation is
-    dumped as a replayable repro file
-    (:mod:`repro.verify.reprofile`) before the exception propagates;
-    ``telemetry_dir`` names a directory where every completed cell
-    leaves a ``<slug>.metrics.json`` manifest + ``<slug>.perf.json``
-    sidecar (:mod:`repro.telemetry.manifest`) — manifests are written
-    here in the parent, in completion order, so serial and parallel
-    sweeps produce byte-identical files; ``progress`` draws a live
-    stderr line while sweep batches execute.
+    A context and every context derived from it
+    (:meth:`ExperimentContext.derive`) hold the same services object, so
+    a cell any of them asks for is dispatched on the same workers,
+    memoized, stored, journaled and indexed once.
+    """
+
+    #: Sweep fan-out (``--jobs`` / ``--listen``).
+    executor: SweepExecutor
+    #: Optional :class:`repro.experiments.store.ResultStore`:
+    #: completed cells persist across runs/branches, and a sweep
+    #: revisiting a stored cell replays it without an engine.
+    store: object = None
+    #: Optional :class:`repro.experiments.journal.RunJournal`
+    #: receiving a record of every completed cell.
+    journal: object = None
+    #: Optional :class:`repro.trace.cache.TraceCache`, shared by the
+    #: parent and the workers.
+    trace_cache: object = None
+    #: Directory receiving each completed cell's manifest + sidecar.
+    telemetry_dir: object = None
+    #: Directory receiving a replayable repro of any sanitizer trip.
+    repro_dir: object = None
+    #: Optional :class:`repro.telemetry.metrics.MetricsClient`.
+    #: Strictly out-of-band: every emit is non-blocking and
+    #: drop-on-failure, and no manifest/journal/store write depends on
+    #: it — sweep artifacts are byte-identical with it on or off.
+    metrics: object = None
+    #: Draw a live stderr line while sweep batches execute.
+    progress: bool = False
+    #: ``(workload, geometry fingerprint, seed, ops_scale)`` -> Trace.
+    traces: dict = field(default_factory=dict)
+    #: ``(geometry fingerprint, cell key)`` -> SimResult, or None for a
+    #: permanently failed cell.  The fingerprint names the config the
+    #: cell's trace was generated against.
+    results: dict = field(default_factory=dict)
+    #: Cells that failed permanently (exhausted fabric retries):
+    #: manifest dicts, in completion order.  Figures render these as
+    #: gaps instead of the sweep aborting.
+    failed_cells: list = field(default_factory=list)
+    #: Manifest slugs written under ``telemetry_dir``, in completion
+    #: order (the run-level manifest indexes these).
+    manifests_written: list = field(default_factory=list)
+    manifest_slugs: set = field(default_factory=set)
+
+
+class ExperimentContext:
+    """A sweep's identity plus the services it shares.
+
+    The identity is ``cfg`` (the platform the drivers simulate, and the
+    config every trace is generated against), ``seed``, ``ops_scale``,
+    ``workloads``, ``fault_plan`` (a default
+    :class:`repro.faults.FaultPlan` for every run; drivers may override
+    per call) and ``sanitize`` (run the coherence sanitizer inside every
+    simulation).
+
+    The other keyword arguments build the :class:`SweepServices`:
+    ``journal`` is an optional
+    :class:`repro.experiments.journal.RunJournal` receiving a record of
+    every completed cell (crash-safe progress tracking); ``jobs`` sets
+    the worker-process count for sweep fan-out (1 = serial, the
+    default); ``trace_cache`` names a directory for the persistent
+    binary trace cache shared by parent and workers; ``repro_dir``
+    names a directory where any sanitizer violation is dumped as a
+    replayable repro file (:mod:`repro.verify.reprofile`) before the
+    exception propagates; ``telemetry_dir`` names a directory where
+    every completed cell leaves a ``<slug>.metrics.json`` manifest +
+    ``<slug>.perf.json`` sidecar (:mod:`repro.telemetry.manifest`) —
+    manifests are written here in the parent, in completion order, so
+    serial and parallel sweeps produce byte-identical files;
+    ``progress`` draws a live stderr line while sweep batches execute;
+    ``store`` names a results store directory (or passes a
+    :class:`~repro.experiments.store.ResultStore`); the rest are the
+    fabric's knobs (:class:`~repro.experiments.parallel.SweepExecutor`).
     """
 
     def __init__(self, cfg: SystemConfig = None, seed: int = 1,
@@ -83,47 +145,22 @@ class ExperimentContext:
         self.workloads = list(workloads) if workloads else list(FIGURE_ORDER)
         self.fault_plan = fault_plan
         self.sanitize = sanitize
-        self.journal = journal
-        self.repro_dir = repro_dir
-        self.telemetry_dir = telemetry_dir
-        self.progress = progress
-        #: Manifest slugs written under ``telemetry_dir``, in completion
-        #: order (the run-level manifest indexes these).
-        self.manifests_written: list = []
-        self._manifest_slugs: set = set()
-        self.jobs = max(1, int(jobs))
+        #: Fingerprint of the trace-generation fields of ``cfg``,
+        #: computed once: it names this context's traces in both keys.
+        self._trace_fp = geometry_fingerprint(self.cfg)
         if trace_cache is not None and not hasattr(trace_cache, "load"):
             from repro.trace.cache import TraceCache
 
             trace_cache = TraceCache(trace_cache)
-        self.trace_cache = trace_cache
         if store is not None and not hasattr(store, "get"):
             from repro.experiments.store import ResultStore
 
             store = ResultStore(store)
-        #: Optional :class:`repro.experiments.store.ResultStore`:
-        #: completed cells persist across runs/branches, and a sweep
-        #: revisiting a stored cell replays it without an engine.
-        self.store = store
-        #: Optional :class:`repro.telemetry.metrics.MetricsClient`.
-        #: Strictly out-of-band: every emit below is non-blocking and
-        #: drop-on-failure, and no manifest/journal/store write depends
-        #: on it — sweep artifacts are byte-identical with it on or off.
-        self.metrics = metrics
-        #: Cells that failed permanently (exhausted fabric retries):
-        #: manifest dicts, in completion order.  Figures render these
-        #: as gaps instead of the sweep aborting.
-        self.failed_cells: list = []
-        self._traces: dict = {}
-        #: Completed cells: :func:`repro.experiments.parallel.cell_key`
-        #: -> SimResult (or None for a permanently failed cell).
-        #: Shared by every driver using this context.
-        self._results: dict = {}
-        self._executor = SweepExecutor(
-            trace_cfg=self.cfg, jobs=self.jobs, seed=seed,
-            ops_scale=ops_scale, sanitize=sanitize,
-            trace_cache_dir=(str(self.trace_cache.root)
-                             if self.trace_cache is not None else None),
+        executor = SweepExecutor(
+            jobs=max(1, int(jobs)), seed=seed, ops_scale=ops_scale,
+            sanitize=sanitize,
+            trace_cache_dir=(str(trace_cache.root)
+                             if trace_cache is not None else None),
             cell_timeout=cell_timeout, max_retries=max_retries,
             retry_backoff=retry_backoff,
             listen=listen, lease_ttl=lease_ttl, lease_size=lease_size,
@@ -131,10 +168,38 @@ class ExperimentContext:
             fleet_dir=fleet_dir, authkey=fabric_authkey,
             allow_unauthenticated=insecure_fabric, metrics=metrics,
         )
+        self.services = SweepServices(
+            executor=executor, store=store, journal=journal,
+            trace_cache=trace_cache, telemetry_dir=telemetry_dir,
+            repro_dir=repro_dir, metrics=metrics, progress=progress,
+        )
+
+    def derive(self, cfg: SystemConfig) -> "ExperimentContext":
+        """A context whose traces are generated against ``cfg``.
+
+        It keeps this context's seed, ops-scale, workloads, fault plan
+        and sanitize flag, and shares its :attr:`services` by
+        reference: the workers, the store, the journal, the telemetry
+        index, the trace cache and both memos.
+        """
+        derived = copy.copy(self)
+        derived.cfg = cfg
+        derived._trace_fp = geometry_fingerprint(cfg)
+        return derived
+
+    # Read-only views of the shared services (the CLI, tools and tests
+    # read these).
+    store = property(lambda self: self.services.store)
+    trace_cache = property(lambda self: self.services.trace_cache)
+    failed_cells = property(lambda self: self.services.failed_cells)
+    manifests_written = property(
+        lambda self: self.services.manifests_written)
+    _executor = property(lambda self: self.services.executor)
+    _results = property(lambda self: self.services.results)
 
     def close(self) -> None:
         """Release executor resources (dismisses a distributed fleet)."""
-        self._executor.close()
+        self.services.executor.close()
 
     def trace(self, workload: str) -> Trace:
         """Generate (or fetch the cached) trace for a workload.
@@ -146,16 +211,19 @@ class ExperimentContext:
         The :class:`Trace` itself is memoized, so the columns a
         vectorized run builds are built once per workload.
         """
-        if workload not in self._traces:
-            if self.trace_cache is not None:
-                self._traces[workload] = self.trace_cache.get_or_generate(
+        key = (workload, self._trace_fp, self.seed, self.ops_scale)
+        traces = self.services.traces
+        if key not in traces:
+            cache = self.services.trace_cache
+            if cache is not None:
+                traces[key] = cache.get_or_generate(
                     workload, self.cfg, self.seed, self.ops_scale
                 )
             else:
-                self._traces[workload] = WORKLOADS[workload].generate(
+                traces[key] = WORKLOADS[workload].generate(
                     self.cfg, seed=self.seed, ops_scale=self.ops_scale
                 )
-        return self._traces[workload]
+        return traces[key]
 
     # ------------------------------------------------------------------
     # Cell execution (memoized; optionally parallel)
@@ -165,58 +233,65 @@ class ExperimentContext:
               placement: str, fault_plan) -> Cell:
         plan = fault_plan if fault_plan is not None else self.fault_plan
         run_cfg = cfg if cfg is not None else self.cfg
-        return Cell(workload, protocol, run_cfg, placement, plan)
+        return Cell(workload, protocol, run_cfg, placement, plan,
+                    trace_cfg=self.cfg)
 
     def _key(self, cell: Cell) -> tuple:
-        return cell_key(cell.workload, cell.protocol, cell.cfg,
-                        cell.placement, cell.fault_plan, self.sanitize)
+        """Memo key: the trace config's fingerprint and the cell key."""
+        return (self._trace_fp,
+                cell_key(cell.workload, cell.protocol, cell.cfg,
+                         cell.placement, cell.fault_plan, self.sanitize))
 
     def _store_key(self, key: tuple) -> str:
         from repro.experiments.store import store_key
 
-        return store_key(key, self.seed, self.ops_scale)
+        trace_fp, cell = key
+        return store_key(cell, self.seed, self.ops_scale, trace=trace_fp)
 
     def _store_get(self, key: tuple):
         """The persisted result for a cell, if a store is attached."""
-        if self.store is None:
+        services = self.services
+        if services.store is None:
             return None
-        result = self.store.get(self._store_key(key))
-        if self.metrics is not None:
-            self.metrics.emit(
+        result = services.store.get(self._store_key(key))
+        if services.metrics is not None:
+            services.metrics.emit(
                 "store.hit" if result is not None else "store.miss",
                 1, kind="counter")
         return result
 
     def _complete(self, cell: Cell, key: tuple, result,
                   from_store: bool = False) -> None:
-        self._results[key] = result
-        if self.store is not None and not from_store:
-            self.store.put(self._store_key(key), result,
-                           workload=cell.workload,
-                           protocol=cell.protocol)
-        if self.journal is not None:
-            self.journal.record_cell(cell.workload, cell.protocol,
-                                     cell.cfg, fault_plan=cell.fault_plan,
-                                     result=result)
-        if self.telemetry_dir is not None:
+        services = self.services
+        services.results[key] = result
+        if services.store is not None and not from_store:
+            services.store.put(self._store_key(key), result,
+                               workload=cell.workload,
+                               protocol=cell.protocol)
+        if services.journal is not None:
+            services.journal.record_cell(cell.workload, cell.protocol,
+                                         cell.cfg,
+                                         fault_plan=cell.fault_plan,
+                                         result=result)
+        if services.telemetry_dir is not None:
             from repro.telemetry.manifest import write_cell_artifacts
 
             slug = write_cell_artifacts(
-                self.telemetry_dir, result,
+                services.telemetry_dir, result,
                 workload=cell.workload, protocol=cell.protocol,
                 cfg=cell.cfg, placement=cell.placement,
                 fault_plan=cell.fault_plan, seed=self.seed,
                 ops_scale=self.ops_scale,
                 engine=getattr(result, "engine_used", "") or "throughput",
             )
-            if slug not in self._manifest_slugs:
-                self._manifest_slugs.add(slug)
-                self.manifests_written.append(slug)
-        if self.metrics is not None:
+            if slug not in services.manifest_slugs:
+                services.manifest_slugs.add(slug)
+                services.manifests_written.append(slug)
+        if services.metrics is not None:
             from repro.telemetry.metrics import (cell_labels,
                                                  emit_cell_metrics)
 
-            emit_cell_metrics(self.metrics, result, labels=cell_labels(
+            emit_cell_metrics(services.metrics, result, labels=cell_labels(
                 cell.workload, cell.protocol,
                 engine=getattr(result, "engine_used", "")
                 or "throughput",
@@ -228,7 +303,8 @@ class ExperimentContext:
                           failure) -> None:
         """Record a permanently failed cell: the sweep keeps going and
         every downstream table renders this cell as a gap."""
-        self._results[key] = None
+        services = self.services
+        services.results[key] = None
         record = {
             "workload": cell.workload,
             "protocol": cell.protocol,
@@ -238,19 +314,21 @@ class ExperimentContext:
             "attempts": failure.attempts,
             "error": failure.error,
         }
-        self.failed_cells.append(record)
-        if self.metrics is not None:
-            self.metrics.emit("cell.failed", 1, kind="counter", labels={
-                "workload": cell.workload, "protocol": cell.protocol,
-            })
-        if self.journal is not None:
-            self.journal.record_cell(cell.workload, cell.protocol,
-                                     cell.cfg, fault_plan=cell.fault_plan,
-                                     failed=failure.error)
+        services.failed_cells.append(record)
+        if services.metrics is not None:
+            services.metrics.emit("cell.failed", 1, kind="counter",
+                                  labels={"workload": cell.workload,
+                                          "protocol": cell.protocol})
+        if services.journal is not None:
+            services.journal.record_cell(cell.workload, cell.protocol,
+                                         cell.cfg,
+                                         fault_plan=cell.fault_plan,
+                                         failed=failure.error)
 
     def _dump_violation(self, cell: Cell, violation) -> None:
         """Write a replayable trace-kind repro for a sanitizer trip."""
-        if self.repro_dir is None:
+        repro_dir = self.services.repro_dir
+        if repro_dir is None:
             return
         from pathlib import Path
 
@@ -262,7 +340,7 @@ class ExperimentContext:
             placement=cell.placement, engine="throughput",
             fault_plan=cell.fault_plan, violation=violation,
         )
-        path = Path(self.repro_dir) / (
+        path = Path(repro_dir) / (
             reprofile.repro_name(payload) + ".json"
         )
         reprofile.dump(payload, path)
@@ -282,8 +360,9 @@ class ExperimentContext:
         """
         cell = self._cell(workload, protocol, cfg, placement, fault_plan)
         key = self._key(cell)
-        if key in self._results:  # may be None: a permanently failed cell
-            return self._results[key]
+        results = self.services.results
+        if key in results:  # may be None: a permanently failed cell
+            return results[key]
         stored = self._store_get(key)
         if stored is not None:
             self._complete(cell, key, stored, from_store=True)
@@ -326,16 +405,18 @@ class ExperimentContext:
             cells.append(self._cell(workload, protocol, cfg, placement,
                                     plan))
         keys = [self._key(cell) for cell in cells]
+        services = self.services
+        executor = services.executor
 
         fresh: list = []  # (cell, key) in first-appearance order
-        seen = set(self._results)
+        seen = set(services.results)
         for cell, key in zip(cells, keys):
             if key not in seen:
                 seen.add(key)
                 fresh.append((cell, key))
 
         progress = None
-        if self.progress and fresh:
+        if services.progress and fresh:
             from repro.telemetry.progress import SweepProgress
 
             progress = SweepProgress(len(fresh))
@@ -357,14 +438,14 @@ class ExperimentContext:
                 to_run.append((cell, key))
 
         if to_run:
-            if self.jobs > 1 or self._executor.distributed:
+            if executor.jobs > 1 or executor.distributed:
                 # The kwarg is only passed when live progress is on, so
                 # tests (and subclasses) stubbing ``executor.run(cells)``
                 # keep working.
                 kwargs = {} if progress is None else {"progress": progress}
-                failures_before = len(self._executor.failed)
+                failures_before = len(executor.failed)
                 try:
-                    results = self._executor.run(
+                    results = executor.run(
                         [cell for cell, _ in to_run], **kwargs
                     )
                 except CoherenceViolation as violation:
@@ -381,7 +462,7 @@ class ExperimentContext:
                 failures = {
                     id(cell): failure
                     for cell, failure in
-                    self._executor.failed[failures_before:]
+                    executor.failed[failures_before:]
                 }
                 for (cell, key), result in zip(to_run, results):
                     if result is None:
@@ -394,19 +475,19 @@ class ExperimentContext:
                     self.run(cell.workload, cell.protocol, cell.cfg,
                              cell.placement, cell.fault_plan)
                     if progress is not None:
-                        progress.update(self._results[key])
+                        progress.update(services.results[key])
 
         # Journal/memoize every fresh cell in request order — store
         # replays, parallel completions and serial runs all land in the
         # same deterministic sequence.
         for cell, key in fresh:
-            if key in self._results:
+            if key in services.results:
                 continue  # serial path completed (or failed) it already
             self._complete(cell, key, prefetched[key],
                            from_store=key in replayed)
         if progress is not None:
             progress.close()
-        return [self._results[key] for key in keys]
+        return [services.results[key] for key in keys]
 
     # ------------------------------------------------------------------
     # Driver helpers

@@ -6,16 +6,16 @@ free *across* runs, branches and users.  A :class:`ResultStore` is a
 directory of 16 :class:`~repro.applog.AppendLog` shards keyed by cell
 fingerprint (:func:`store_key`): every completed simulation is
 serialized once, and any later sweep that revisits the cell — same
-workload, protocol, full platform config, placement, fault plan, seed
-and trace scale — replays the stored
+workload, protocol, full platform config, placement, fault plan, seed,
+trace scale, trace geometry and simulator source — replays the stored
 :class:`~repro.engine.stats.SimResult` without touching an engine.
 
 Records follow the durability contract of DESIGN.md §13.  A record
-carries the store's schema version and a base64 pickle of the result;
-a record that is torn, fails its CRC, has another version or does not
-unpickle is a miss, and the cell is re-simulated, after which the
-fresh record supersedes the bad one (last writer wins on duplicate
-keys).
+carries the store's schema version and the result as a base64,
+zlib-compressed pickle; a record that is torn, fails its CRC, has
+another version or does not decompress and unpickle is a miss, and the
+cell is re-simulated, after which the fresh record supersedes the bad
+one (last writer wins on duplicate keys).
 
 ``wall_seconds`` is stripped on ``put``: a replayed result spent no
 engine time, and the zero is the honest signal warm-store gates assert
@@ -25,33 +25,70 @@ on.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import pickle
 import sys
+import zlib
 from pathlib import Path
 
 from repro.applog import AppendLog
 
 #: Record schema version; bump on any incompatible change (old records
-#: then read as misses and are recomputed).
-SCHEMA = 1
+#: then read as misses and are recomputed).  2: the pickle is
+#: zlib-compressed, and keys name the trace geometry and the source.
+SCHEMA = 2
 
 #: Shard fan-out: records land in shard-<first hex digit>.jsonl.
 _SHARD_DIGITS = "0123456789abcdef"
 
+#: The ``repro`` package directory.
+_PACKAGE = Path(__file__).resolve().parents[1]
 
-def store_key(cell_key: tuple, seed: int, ops_scale: float) -> str:
+#: The parts of the package ``simulate`` imports: what a cell's result
+#: can depend on.  Drivers, the store and telemetry are left out, so
+#: editing them keeps the store warm.
+SOURCE_PARTS = ("config.py", "core", "engine", "faults", "gpu",
+                "interconnect", "memsys", "trace")
+
+
+def source_fingerprint(package: Path) -> str:
+    """Hex digest of the path and bytes of every ``.py`` file of
+    :data:`SOURCE_PARTS` under ``package``."""
+    digest = hashlib.sha256()
+    for part in SOURCE_PARTS:
+        path = package / part
+        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+        for file in files:
+            digest.update(file.relative_to(package).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(file.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def _running_source() -> str:
+    """The source fingerprint of this process's package, read once."""
+    return source_fingerprint(_PACKAGE)
+
+
+def store_key(cell_key: tuple, seed: int, ops_scale: float, *,
+              trace: str) -> str:
     """Content address of one cell's result.
 
     ``cell_key`` is :func:`repro.experiments.parallel.cell_key` — the
     full (workload, protocol, config fingerprint, placement, fault-plan
-    fingerprint, sanitize) tuple — extended here with the run seed and
-    trace scale, which the cell key alone does not carry.  The schema
+    fingerprint, sanitize) tuple — extended here with what the cell key
+    alone does not carry: the run seed, the trace scale, ``trace`` (the
+    :func:`~repro.trace.cache.geometry_fingerprint` of the config the
+    cell's trace was generated against) and the fingerprint of the
+    simulator's source (:func:`source_fingerprint`).  The schema
     version is folded in so a format change invalidates the whole
     store at once.
     """
-    payload = repr((SCHEMA, cell_key, seed, ops_scale))
+    payload = repr((SCHEMA, cell_key, seed, ops_scale, trace,
+                    _running_source()))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -67,7 +104,8 @@ def _result(record: dict):
     if not _valid(record):
         return None
     try:
-        return record["key"], pickle.loads(base64.b64decode(record["blob"]))
+        return record["key"], pickle.loads(
+            zlib.decompress(base64.b64decode(record["blob"])))
     except Exception:
         return None
 
@@ -132,9 +170,9 @@ class ResultStore:
 
         stored = copy.copy(result)
         stored.wall_seconds = 0.0  # replays spend no engine time
-        blob = base64.b64encode(
+        blob = base64.b64encode(zlib.compress(
             pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
+        )).decode("ascii")
         self._logs[key[0]].append({
             "v": SCHEMA,
             "key": key,

@@ -15,29 +15,31 @@ Format (little-endian)::
     version H    format revision (bump on any layout change)
     hlen    I    length of the JSON metadata blob
     header  ...  JSON: name/footprint_bytes/kernels/meta/ops + cache key
-    ops     ...  ops * 18 bytes, each one repro.trace.batch.OP_DTYPE
-                 record (op, address, gpu, gpm, cta, scope, size)
-    crc     I    zlib.crc32 of the packed op payload
+    ops     ...  zlib (level 1) of ops * 18 bytes, each one
+                 repro.trace.batch.OP_DTYPE record (op, address, gpu,
+                 gpm, cta, scope, size)
+    crc     I    zlib.crc32 of the stored (compressed) op payload
 
 The op payload is the trace's columns packed with one ``tobytes()``
-and loads back as columns with one ``np.frombuffer``
-(:class:`~repro.trace.batch.BatchTrace`): a loaded
+and loads back, once decompressed, as columns with one
+``np.frombuffer`` (:class:`~repro.trace.batch.BatchTrace`): a loaded
 :class:`~repro.trace.stream.Trace` builds its ``MemOp`` list only if a
-scalar engine iterates it.
+scalar engine iterates it.  Compression shrinks the payload about
+tenfold for a few milliseconds per sweep.
 
-Robustness: files are written atomically (tmp + ``os.replace``), and
-:meth:`TraceCache.load` answers ``None`` — after a ``warnings.warn`` —
-for anything it cannot fully validate (bad magic, foreign version,
-truncated payload, CRC mismatch, key mismatch from a hash collision,
-an op with an unknown kind or scope or a zero size).  A corrupt cache
-can cost regeneration time but never wrong results.
+Robustness: files are written with :func:`repro.applog.atomic_write`,
+and :meth:`TraceCache.load` answers ``None`` — after a
+``warnings.warn`` — for anything it cannot fully validate (bad magic,
+foreign version, truncated file, CRC mismatch, a payload that does not
+decompress to the header's op count, key mismatch from a hash
+collision, an op with an unknown kind or scope or a zero size).  A
+corrupt cache can cost regeneration time but never wrong results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import warnings
 import zlib
@@ -46,12 +48,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.applog import atomic_write
 from repro.core.types import OpType, Scope
 from repro.trace.batch import OP_DTYPE, BatchTrace, as_batch
 from repro.trace.stream import Trace
 
 MAGIC = b"RTRC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEAD = struct.Struct("<4sHI")
 
@@ -146,18 +149,13 @@ class TraceCache:
             "meta": trace.meta,
             "ops": len(trace),
         }).encode()
-        payload = as_batch(trace).to_payload()
+        payload = zlib.compress(as_batch(trace).to_payload(), 1)
         target = self.path(workload, cfg, seed, ops_scale)
-        # Per-process tmp name: parallel workers may race to populate
-        # the same key; each writes its own tmp and the os.replace()s
-        # are individually atomic (last writer wins, contents equal).
-        tmp = target.parent / f"{target.name}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, len(header)))
-            fh.write(header)
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
-        os.replace(tmp, target)
+        # Parallel workers may race to populate the same key; each
+        # replace is atomic (last writer wins, contents equal).
+        atomic_write(target, b"".join((
+            _HEAD.pack(MAGIC, FORMAT_VERSION, len(header)), header,
+            payload, struct.pack("<I", zlib.crc32(payload)))))
         return target
 
     def _parse(self, raw: bytes, expect_key: str) -> Trace:
@@ -187,15 +185,22 @@ class TraceCache:
         if not isinstance(count, int) or count < 0:
             raise TraceCacheError(f"bad op count {count!r}")
         start = _HEAD.size + hlen
-        need = count * OP_DTYPE.itemsize + 4
-        if len(raw) - start != need:
-            raise TraceCacheError(
-                f"payload is {len(raw) - start} bytes, expected {need}"
-            )
-        payload = raw[start:start + need - 4]
-        (crc,) = struct.unpack_from("<I", raw, start + need - 4)
-        if zlib.crc32(payload) != crc:
+        if len(raw) - start < 4:
+            raise TraceCacheError("truncated op payload")
+        stored = raw[start:-4]
+        (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+        if zlib.crc32(stored) != crc:
             raise TraceCacheError("payload CRC mismatch")
+        try:
+            payload = zlib.decompress(stored)
+        except zlib.error as exc:
+            raise TraceCacheError(f"payload does not decompress: {exc}") \
+                from exc
+        need = count * OP_DTYPE.itemsize
+        if len(payload) != need:
+            raise TraceCacheError(
+                f"payload is {len(payload)} bytes, expected {need}"
+            )
         batch = BatchTrace.from_payload(payload, count)
         _check_ops(batch)
         return Trace(

@@ -135,8 +135,8 @@ class TestWorkerPlumbing:
     def test_run_cell_matches_context_run(self):
         from repro.experiments.parallel import run_cell
 
-        direct = run_cell((Cell("CoMD", "hmg", CFG), CFG, 1, 0.05,
-                           False, None))
+        direct = run_cell((Cell("CoMD", "hmg", CFG), 1, 0.05, False,
+                           None))
         via_ctx = ExperimentContext(CFG, **QUICK).run("CoMD", "hmg")
         assert direct.cycles == via_ctx.cycles
         assert direct.ops == via_ctx.ops
@@ -221,6 +221,80 @@ class TestSweepVariants:
         cache = TraceCache(tmp_path / "tc2")
         assert {p.name for p in cache.root.glob("*.trc")} <= {
             cache.path(w, CFG, 1, 0.05).name for w in WORKLOADS}
+
+
+class TestSubExperiments:
+    """``singlegpu``, ``scaleout`` and ``mca`` simulate on traces of
+    other GPU counts through :meth:`ExperimentContext.derive`, which
+    keeps every sweep service."""
+
+    SUBS = ("singlegpu", "scaleout", "mca")
+
+    def test_derive_shares_services_and_keeps_identity(self, tmp_path):
+        ctx = ExperimentContext(CFG, workloads=WORKLOADS, sanitize=True,
+                                fault_plan=PLAN, jobs=2,
+                                store=tmp_path / "s", **QUICK)
+        one = ctx.derive(CFG.replace(num_gpus=1))
+        assert one.services is ctx.services
+        assert one.cfg.num_gpus == 1 and ctx.cfg.num_gpus == 4
+        assert (one.seed, one.ops_scale, one.workloads, one.fault_plan,
+                one.sanitize) == (ctx.seed, ctx.ops_scale, ctx.workloads,
+                                  ctx.fault_plan, ctx.sanitize)
+        assert one.store is ctx.store and one._executor is ctx._executor
+
+    def test_memo_names_the_trace_config(self):
+        """One run config simulated on two traces is two cells."""
+        ctx = ExperimentContext(CFG, workloads=WORKLOADS, **QUICK)
+        big = ctx.derive(CFG.replace(l2_bytes_per_gpu=4
+                                     * CFG.l2_bytes_per_gpu))
+        base = ctx.run("CoMD", "hmg")
+        other = big.run("CoMD", "hmg", cfg=CFG)
+        assert other is not base
+        assert other.ops == len(big.trace("CoMD")) != base.ops
+        assert big.run("CoMD", "hmg", cfg=CFG) is other
+
+    def _cli(self, root, capsys, *extra):
+        args = [*self.SUBS, "--scale", str(1 / 64), "--ops-scale", "0.05",
+                "--workloads", *WORKLOADS, "--telemetry", str(root),
+                "--no-registry", *extra]
+        assert cli.main(args) == 0
+        return "\n".join(
+            line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(tuple(f"[{s}:" for s in self.SUBS)))
+
+    def test_jobs_output_and_manifests_identical(self, tmp_path, capsys):
+        serial = self._cli(tmp_path / "serial", capsys)
+        parallel = self._cli(tmp_path / "jobs", capsys, "--jobs", "2",
+                             "--trace-cache", str(tmp_path / "tc"))
+        assert serial == parallel
+        # The cells went through the worker pool...
+        assert (tmp_path / "jobs" / "fabric.json").exists()
+        # ...and left the same manifests as the serial run.
+        run = json.loads((tmp_path / "serial" / "run.json").read_text())
+        assert run["cells"]
+        names = sorted(p.name for p in
+                       (tmp_path / "serial").glob("*.metrics.json"))
+        assert len(names) == len(run["cells"])
+        for name in ["run.json", *names]:
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "jobs" / name).read_bytes(), name
+
+    def test_sanitize_reaches_their_cells(self, monkeypatch, capsys):
+        from repro.experiments import runner
+
+        sanitized = []
+        real = runner.simulate
+
+        def recording(trace, cfg, **kwargs):
+            sanitized.append((cfg.num_gpus, kwargs["sanitize"]))
+            return real(trace, cfg, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate", recording)
+        assert cli.main(["scaleout", "--sanitize", "--scale", str(1 / 64),
+                         "--ops-scale", "0.05", "--workloads", "CoMD"]) == 0
+        capsys.readouterr()
+        assert {gpus for gpus, _ in sanitized} == {1, 2, 4, 8}
+        assert all(flag is True for _, flag in sanitized)
 
 
 class TestJournalContents:

@@ -236,8 +236,8 @@ class TestManifests:
     def test_run_manifest_for_sub_context_experiments(self, tmp_path,
                                                       capsys,
                                                       experiment):
-        """These run all their cells in sub-contexts, so no cell
-        manifest creates the telemetry directory before run.json."""
+        """These run all their cells in derived contexts, whose cells
+        are indexed in run.json like any other."""
         from repro.experiments import cli
 
         out = tmp_path / "tel"
@@ -249,6 +249,13 @@ class TestManifests:
         assert rc == 0
         run = json.loads((out / "run.json").read_text())
         assert run["experiments"] == [experiment]
+        assert run["cells"]
+        platforms = set()
+        for slug in run["cells"]:
+            manifest = json.loads(
+                (out / f"{slug}.metrics.json").read_text())
+            platforms.add(manifest["platform"]["num_gpus"])
+        assert 1 in platforms
 
 
 class TestSweepProgress:

@@ -152,6 +152,34 @@ class TestCorruption:
         with pytest.warns(RuntimeWarning, match="version"):
             assert cache.load("CoMD", CFG, 1, 0.05) is None
 
+    def test_v1_file_warns_and_regenerates(self, tmp_path):
+        """A format-1 file (uncompressed payload) is a foreign version:
+        it warns, regenerates and is rewritten in the current format."""
+        cache, path = self._stored(tmp_path)
+        raw = path.read_bytes()
+        hlen = struct.unpack_from("<4sHI", raw)[2]
+        start, end = _payload_span(raw)
+        ops = zlib.decompress(raw[start:end])
+        path.write_bytes(struct.pack("<4sHI", MAGIC, 1, hlen)
+                         + raw[10:start] + ops
+                         + struct.pack("<I", zlib.crc32(ops)))
+        with pytest.warns(RuntimeWarning, match="format version 1"):
+            trace = cache.get_or_generate("CoMD", CFG, 1, 0.05)
+        assert trace.ops == _generate().ops
+        assert path.read_bytes() == raw
+
+    def test_op_count_mismatch_warns_and_misses(self, tmp_path):
+        """A payload with a valid CRC that decompresses to fewer ops
+        than the header names."""
+        cache, path = self._stored(tmp_path)
+        raw = path.read_bytes()
+        start, end = _payload_span(raw)
+        short = zlib.compress(zlib.decompress(raw[start:end])[:-18], 1)
+        path.write_bytes(raw[:start] + short
+                         + struct.pack("<I", zlib.crc32(short)))
+        with pytest.warns(RuntimeWarning, match="expected"):
+            assert cache.load("CoMD", CFG, 1, 0.05) is None
+
     def test_bad_magic_warns_and_misses(self, tmp_path):
         cache, path = self._stored(tmp_path)
         raw = bytearray(path.read_bytes())
@@ -267,7 +295,7 @@ class TestColumnsFirst:
         path = cache.store(workload, CFG, 1, 0.02, trace)
         raw = path.read_bytes()
         start, end = _payload_span(raw)
-        assert raw[start:end] == _reference_payload(trace)
+        assert zlib.decompress(raw[start:end]) == _reference_payload(trace)
         loaded = cache.load(workload, CFG, 1, 0.02)
         assert loaded.ops == trace.ops
         # Enum and NodeId fields compare equal to plain ints and tuples;
@@ -292,12 +320,14 @@ class TestColumnsFirst:
         cache = TraceCache(tmp_path)
         cache.store("CoMD", CFG, 1, 0.05, _generate())
         path = cache.path("CoMD", CFG, 1, 0.05)
-        raw = bytearray(path.read_bytes())
+        raw = path.read_bytes()
         start, end = _payload_span(raw)
-        at = start + 7 * 18 + offset
-        raw[at:at + len(patch)] = patch
-        raw[end:] = struct.pack("<I", zlib.crc32(bytes(raw[start:end])))
-        path.write_bytes(bytes(raw))
+        ops = bytearray(zlib.decompress(raw[start:end]))
+        at = 7 * 18 + offset
+        ops[at:at + len(patch)] = patch
+        payload = zlib.compress(bytes(ops), 1)
+        path.write_bytes(raw[:start] + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
         with pytest.warns(RuntimeWarning, match=message):
             assert cache.load("CoMD", CFG, 1, 0.05) is None
 
