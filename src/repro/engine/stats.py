@@ -1,7 +1,8 @@
-"""Simulation results and aggregate statistics."""
+"""Simulation results, aggregate statistics and the shared roll-up."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
@@ -179,8 +180,7 @@ class SimResult:
 def apply_fault_expansion(plan, l2, dram, xbar, link):
     """Degrade busy times under a :class:`repro.faults.FaultPlan`.
 
-    Shared by the scalar and vectorized throughput engines: each
-    affected resource class is stretched by the plan's duty-cycle
+    Each affected resource class is stretched by the plan's duty-cycle
     time-expansion factor, and message loss additionally inflates the
     network classes by the expected retransmission attempts.  Returns
     the four (possibly new) lists in the same order.
@@ -199,6 +199,87 @@ def apply_fault_expansion(plan, l2, dram, xbar, link):
         xbar = [t * expansion for t in xbar]
         link = [t * expansion for t in link]
     return l2, dram, xbar, link
+
+
+#: ``SystemConfig`` fields that only :func:`roll_up` reads.  Neither
+#: throughput engine's per-op loop sees them, so two runs whose configs
+#: differ only here (and whose fault plans differ) produce the same loop
+#: totals, and :func:`derive` turns one result into the other.
+ROLL_UP_FIELDS = ("inter_gpu_bw_gbps",)
+
+#: Engines whose results :func:`derive` can roll up again: the detailed
+#: engine's event loop reads link rates and fault windows itself.
+ROLL_UP_ENGINES = ("throughput", "vectorized")
+
+
+def roll_up(cfg: SystemConfig, fault_plan, *, issue, l2, dram, xbar_bytes,
+            link_bytes, msg_counts) -> tuple:
+    """Resource times, cycles and loss counters from a run's loop totals.
+
+    The one tail the scalar and vectorized throughput engines share, and
+    the only place either reads the link rates or a fault plan.
+    ``issue``, ``l2`` and ``dram`` are busy cycles per flat GPM, before
+    any fault expansion; ``xbar_bytes`` is per GPU, ``link_bytes`` the
+    per-GPU (out, in) pairs and ``msg_counts`` the protocol's message
+    tally.  Returns ``(resources, cycles, degradation)``; degradation is
+    the analytic expectation of a lossy plan over the requests the run
+    emitted (the clockless engines cannot draw per-message drops), and
+    None without message loss.
+    """
+    xbar_bpc = cfg.inter_gpm_bytes_per_cycle
+    link_bpc = cfg.inter_gpu_bytes_per_cycle
+    xbar = [b / xbar_bpc for b in xbar_bytes]
+    link = [max(out_b, in_b) / link_bpc for out_b, in_b in link_bytes]
+    l2, dram, xbar, link = apply_fault_expansion(fault_plan, l2, dram,
+                                                 xbar, link)
+    resources = ResourceTimes(issue=issue, l2=l2, dram=dram, xbar=xbar,
+                              link=link)
+    cycles = max(resources.total_cycles(cfg.timing.overlap_tax), 1.0)
+    degradation = None
+    if fault_plan is not None and fault_plan.message_loss is not None:
+        requests = sum(msg_counts.get(m, 0)
+                       for m in (MsgType.LOAD_REQ, MsgType.STORE_REQ))
+        degradation = DegradationStats(
+            **fault_plan.expected_loss_counters(requests))
+    return resources, cycles, degradation
+
+
+def functional_config(cfg: SystemConfig) -> SystemConfig:
+    """``cfg`` with every :data:`ROLL_UP_FIELDS` entry at its default:
+    configs with equal functional configs drive the per-op loop alike."""
+    return cfg.replace(**{name: getattr(SystemConfig, name)
+                          for name in ROLL_UP_FIELDS})
+
+
+def derive(result: SimResult, cfg: SystemConfig,
+           fault_plan=None) -> SimResult:
+    """What ``result``'s run yields on ``cfg`` under ``fault_plan``,
+    without running it again.
+
+    ``result`` must come from a throughput engine (scalar or
+    vectorized) run with no fault plan or a no-op one, on a config that
+    differs from ``cfg`` at most in :data:`ROLL_UP_FIELDS`.  Its issue,
+    L2 and DRAM busy times, byte counts and counters are then exactly
+    what the loop would produce again, so only :func:`roll_up` runs.
+    The new result shares them with ``result`` (a completed result is
+    never mutated), and its ``wall_seconds`` is 0.0: no loop ran.
+    """
+    engine = getattr(result, "engine_used", "")
+    if engine not in ROLL_UP_ENGINES:
+        raise ValueError(f"cannot derive from a {engine or 'bare'!r} "
+                         f"engine result; expected one of "
+                         f"{ROLL_UP_ENGINES}")
+    if functional_config(cfg) != functional_config(result.cfg):
+        raise ValueError("derive() may change only the roll-up fields "
+                         f"{ROLL_UP_FIELDS} of the result's config")
+    resources, cycles, degradation = roll_up(
+        cfg, fault_plan, issue=result.resources.issue,
+        l2=result.resources.l2, dram=result.resources.dram,
+        xbar_bytes=result.xbar_bytes, link_bytes=result.link_bytes,
+        msg_counts=result.stats.msg_counts)
+    return dataclasses.replace(result, cfg=cfg, cycles=cycles,
+                               resources=resources, wall_seconds=0.0,
+                               degradation=degradation)
 
 
 def aggregate_l1_stats(protocol: CoherenceProtocol) -> CacheStats:

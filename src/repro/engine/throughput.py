@@ -24,14 +24,12 @@ import time
 
 from repro.config import SystemConfig
 from repro.core.protocol import CoherenceProtocol, TrafficSink
-from repro.core.types import MemOp, MsgType, NodeId
+from repro.core.types import MsgType, NodeId
 from repro.engine.stats import (
-    DegradationStats,
-    ResourceTimes,
     SimResult,
     aggregate_l1_stats,
     aggregate_l2_stats,
-    apply_fault_expansion,
+    roll_up,
     total_dram_bytes,
 )
 
@@ -69,7 +67,9 @@ class ThroughputEngine:
     An optional :class:`repro.faults.FaultPlan` degrades interconnect
     resources: the engine has no clock, so each affected resource class
     is charged the plan's duty-cycle time-expansion factor (see
-    :meth:`repro.faults.FaultPlan.time_expansion`).
+    :meth:`repro.faults.FaultPlan.time_expansion`).  The plan and the
+    link rates are read only by :func:`repro.engine.stats.roll_up`,
+    after the per-op loop.
     """
 
     name = "throughput"
@@ -175,22 +175,26 @@ class ThroughputEngine:
         if sampler is not None:
             sampler.finish(float(max(ops, 1)))
 
-        resources = self._resource_times(protocol, sink, stall)
-        cycles = max(resources.total_cycles(cfg.timing.overlap_tax), 1.0)
-        degradation = None
-        plan = self.fault_plan
-        if plan is not None and plan.message_loss is not None:
-            # The clockless engine cannot draw per-message drops, so it
-            # reports the analytic expectation over the messages it
-            # actually emitted (deterministic, like everything else in
-            # this engine).
-            total_messages = sum(
-                protocol.stats.msg_counts.get(m, 0)
-                for m in (MsgType.LOAD_REQ, MsgType.STORE_REQ)
-            )
-            degradation = DegradationStats(
-                **plan.expected_loss_counters(total_messages)
-            )
+        timing = cfg.timing
+        issue = [
+            protocol.ops_per_gpm[i] / timing.issue_rate_per_gpm
+            + stall[i]
+            + protocol.bulk_invs_per_gpm[i] * timing.bulk_invalidate_cycles
+            for i in range(cfg.total_gpms)
+        ]
+        l2 = [b / timing.l2_bytes_per_cycle
+              for b in protocol.l2_bytes_per_gpm]
+        dram_bpc = cfg.dram_bytes_per_cycle_per_gpm
+        dram = [
+            protocol.dram[i].stats.total_bytes / dram_bpc
+            for i in range(cfg.total_gpms)
+        ]
+        link_bytes = [(sink.link_out_bytes[g], sink.link_in_bytes[g])
+                      for g in range(cfg.num_gpus)]
+        resources, cycles, degradation = roll_up(
+            cfg, self.fault_plan, issue=issue, l2=l2, dram=dram,
+            xbar_bytes=sink.xbar_bytes, link_bytes=link_bytes,
+            msg_counts=protocol.stats.msg_counts)
         return SimResult(
             protocol_name=protocol.name,
             workload_name=workload_name,
@@ -202,42 +206,8 @@ class ThroughputEngine:
             l2_stats=aggregate_l2_stats(protocol),
             dram_bytes=total_dram_bytes(protocol),
             ops=ops,
-            link_bytes=[
-                (sink.link_out_bytes[g], sink.link_in_bytes[g])
-                for g in range(cfg.num_gpus)
-            ],
+            link_bytes=link_bytes,
             xbar_bytes=list(sink.xbar_bytes),
             wall_seconds=wall_seconds,
             degradation=degradation,
         )
-
-    def _resource_times(self, protocol: CoherenceProtocol,
-                        sink: ThroughputSink, stall) -> ResourceTimes:
-        cfg = self.cfg
-        issue_rate = cfg.timing.issue_rate_per_gpm
-        l2_bpc = cfg.timing.l2_bytes_per_cycle
-        dram_bpc = cfg.dram_bytes_per_cycle_per_gpm
-        xbar_bpc = cfg.inter_gpm_bytes_per_cycle
-        link_bpc = cfg.inter_gpu_bytes_per_cycle
-
-        issue = [
-            protocol.ops_per_gpm[i] / issue_rate
-            + stall[i]
-            + protocol.bulk_invs_per_gpm[i] * cfg.timing.bulk_invalidate_cycles
-            for i in range(cfg.total_gpms)
-        ]
-        l2 = [b / l2_bpc for b in protocol.l2_bytes_per_gpm]
-        dram = [
-            protocol.dram[i].stats.total_bytes / dram_bpc
-            for i in range(cfg.total_gpms)
-        ]
-        xbar = [b / xbar_bpc for b in sink.xbar_bytes]
-        link = [
-            max(sink.link_out_bytes[g], sink.link_in_bytes[g]) / link_bpc
-            for g in range(cfg.num_gpus)
-        ]
-        l2, dram, xbar, link = apply_fault_expansion(
-            self.fault_plan, l2, dram, xbar, link
-        )
-        return ResourceTimes(issue=issue, l2=l2, dram=dram, xbar=xbar,
-                             link=link)

@@ -49,8 +49,7 @@ from repro.core import batchmap
 from repro.core.protocol import ProtocolStats
 from repro.core.types import MsgType, OpType, Scope
 from repro.engine import vec_state as vs
-from repro.engine.stats import (DegradationStats, ResourceTimes, SimResult,
-                                apply_fault_expansion)
+from repro.engine.stats import SimResult, roll_up
 from repro.memsys.cache import CacheStats
 from repro.trace.batch import as_batch
 
@@ -1198,29 +1197,16 @@ class VectorizedThroughputEngine:
         l2 = (r.l2_bytes / cfg.timing.l2_bytes_per_cycle).tolist()
         dram = ((r.dram_reads + r.dram_writes)
                 / cfg.dram_bytes_per_cycle_per_gpm).tolist()
-        xbar = (r.traffic.xbar / cfg.inter_gpm_bytes_per_cycle).tolist()
-        link = [max(int(r.traffic.link_out[g]), int(r.traffic.link_in[g]))
-                / cfg.inter_gpu_bytes_per_cycle
-                for g in range(cfg.num_gpus)]
-        l2, dram, xbar, link = apply_fault_expansion(
-            self.fault_plan, l2, dram, xbar, link)
-        resources = ResourceTimes(issue=issue.tolist(), l2=l2, dram=dram,
-                                  xbar=xbar, link=link)
-        cycles = max(resources.total_cycles(cfg.timing.overlap_tax), 1.0)
-
+        link_bytes = [(int(r.traffic.link_out[g]), int(r.traffic.link_in[g]))
+                      for g in range(cfg.num_gpus)]
+        xbar_bytes = [int(x) for x in r.traffic.xbar]
         stats = r.stats
         stats.msg_counts = dict(r.traffic.counts)
         stats.msg_bytes = dict(r.traffic.bytes)
-        degradation = None
-        plan = self.fault_plan
-        if plan is not None and plan.message_loss is not None:
-            total_messages = sum(
-                stats.msg_counts.get(m, 0)
-                for m in (MsgType.LOAD_REQ, MsgType.STORE_REQ)
-            )
-            degradation = DegradationStats(
-                **plan.expected_loss_counters(total_messages)
-            )
+        resources, cycles, degradation = roll_up(
+            cfg, self.fault_plan, issue=issue.tolist(), l2=l2, dram=dram,
+            xbar_bytes=xbar_bytes, link_bytes=link_bytes,
+            msg_counts=stats.msg_counts)
         return SimResult(
             protocol_name=protocol_name,
             workload_name=workload_name,
@@ -1232,11 +1218,8 @@ class VectorizedThroughputEngine:
             l2_stats=CacheStats(**r.l2c),
             dram_bytes=int(r.dram_reads.sum() + r.dram_writes.sum()),
             ops=len(batch),
-            link_bytes=[
-                (int(r.traffic.link_out[g]), int(r.traffic.link_in[g]))
-                for g in range(cfg.num_gpus)
-            ],
-            xbar_bytes=[int(x) for x in r.traffic.xbar],
+            link_bytes=link_bytes,
+            xbar_bytes=xbar_bytes,
             wall_seconds=wall_seconds,
             degradation=degradation,
         )

@@ -7,7 +7,10 @@ once per workload and cached (optionally on disk, via ``trace_cache``),
 and every completed simulation is memoized under its cell fingerprint —
 a figure that normalizes five protocols against the same baseline
 simulates that baseline once, and a sweep that revisits a cell pays
-nothing.  With ``jobs > 1``, cache-missing cells fan out across worker
+nothing.  A missing cell that differs from a completed one only in
+its inter-GPU bandwidth or fault plan is rolled up from that cell's
+result instead of simulated (:func:`repro.engine.stats.derive`).  With
+``jobs > 1``, the cells left to simulate fan out across worker
 processes with deterministic, serial-identical results (see
 :mod:`repro.experiments.parallel`).  A driver that needs traces
 generated against another platform (one GPU, eight GPUs) asks for
@@ -25,6 +28,7 @@ from repro.analysis.metrics import SpeedupTable, normalized_speedups
 from repro.core.registry import PROTOCOLS
 from repro.core.sanitizer import CoherenceViolation
 from repro.engine.simulator import simulate
+from repro.engine.stats import derive, functional_config
 from repro.experiments.parallel import Cell, SweepExecutor, cell_key
 from repro.trace.cache import geometry_fingerprint
 from repro.trace.stream import Trace
@@ -32,6 +36,23 @@ from repro.trace.workloads import FIGURE_ORDER, WORKLOADS
 
 #: Display labels for figure columns, in the paper's legend wording.
 PROTOCOL_LABELS = {name: cls.label for name, cls in PROTOCOLS.items()}
+
+
+def _engine_of(result) -> str:
+    """The engine that produced ``result`` (a sweep's cells all run on
+    ``simulate``'s default, the scalar throughput engine)."""
+    return getattr(result, "engine_used", "") or "throughput"
+
+
+def _functional_key(cell: Cell, key: tuple) -> tuple:
+    """``cell``'s memo key ``key`` with the roll-up-only config fields
+    normalized and the fault plan dropped: cells that share it run the
+    same per-op loop (DESIGN §10)."""
+    trace_fp, (*_, sanitize) = key
+    return (trace_fp,
+            cell_key(cell.workload, cell.protocol,
+                     functional_config(cell.cfg), cell.placement, None,
+                     sanitize))
 
 
 @dataclass
@@ -95,6 +116,13 @@ class SweepServices:
     #: order (the run-level manifest indexes these).
     manifests_written: list = field(default_factory=list)
     manifest_slugs: set = field(default_factory=set)
+    #: ``(cell, memo key)`` of every completed cell, in completion order.
+    completed: list = field(default_factory=list)
+    #: Functional key -> ``(cell, result)`` of the first completed cell
+    #: a missing cell with that key can be derived from; it indexes
+    #: ``completed[:indexed]`` (see :meth:`ExperimentContext._base`).
+    bases: dict = field(default_factory=dict)
+    indexed: int = 0
 
 
 class ExperimentContext:
@@ -260,10 +288,35 @@ class ExperimentContext:
                 1, kind="counter")
         return result
 
+    def _base(self, cell: Cell, key: tuple):
+        """``(cell, result)`` of a completed cell that ``cell`` can be
+        derived from, or None.
+
+        A base shares ``cell``'s functional key, ran on the scalar
+        engine every sweep cell runs on, and had no fault plan or a
+        no-op one.  Called only on a memo-and-store miss: the index
+        catches up with the cells completed since the previous miss, so
+        a sweep replayed from the store computes no functional key.
+        """
+        services = self.services
+        for done, done_key in services.completed[services.indexed:]:
+            plan = done.fault_plan
+            result = services.results[done_key]
+            if ((plan is None or plan.is_noop)
+                    and _engine_of(result) == "throughput"):
+                services.bases.setdefault(_functional_key(done, done_key),
+                                          (done, result))
+        services.indexed = len(services.completed)
+        return services.bases.get(_functional_key(cell, key))
+
     def _complete(self, cell: Cell, key: tuple, result,
-                  from_store: bool = False) -> None:
+                  from_store: bool = False, derived_from: Cell = None
+                  ) -> None:
+        """Memoize, store, journal and manifest one completed cell;
+        ``derived_from`` is the base a derived cell was rolled up from."""
         services = self.services
         services.results[key] = result
+        services.completed.append((cell, key))
         if services.store is not None and not from_store:
             services.store.put(self._store_key(key), result,
                                workload=cell.workload,
@@ -274,15 +327,22 @@ class ExperimentContext:
                                          fault_plan=cell.fault_plan,
                                          result=result)
         if services.telemetry_dir is not None:
-            from repro.telemetry.manifest import write_cell_artifacts
+            from repro.telemetry.manifest import (cell_slug,
+                                                  write_cell_artifacts)
 
+            base_slug = None
+            if derived_from is not None:
+                base_slug = cell_slug(
+                    derived_from.workload, derived_from.protocol,
+                    derived_from.cfg, derived_from.placement,
+                    derived_from.fault_plan)
             slug = write_cell_artifacts(
                 services.telemetry_dir, result,
                 workload=cell.workload, protocol=cell.protocol,
                 cfg=cell.cfg, placement=cell.placement,
                 fault_plan=cell.fault_plan, seed=self.seed,
-                ops_scale=self.ops_scale,
-                engine=getattr(result, "engine_used", "") or "throughput",
+                ops_scale=self.ops_scale, engine=_engine_of(result),
+                derived_from=base_slug,
             )
             if slug not in services.manifest_slugs:
                 services.manifest_slugs.add(slug)
@@ -291,12 +351,12 @@ class ExperimentContext:
             from repro.telemetry.metrics import (cell_labels,
                                                  emit_cell_metrics)
 
+            source = ("store" if from_store
+                      else "derived" if derived_from is not None
+                      else "engine")
             emit_cell_metrics(services.metrics, result, labels=cell_labels(
-                cell.workload, cell.protocol,
-                engine=getattr(result, "engine_used", "")
-                or "throughput",
-                placement=cell.placement,
-                source="store" if from_store else "engine",
+                cell.workload, cell.protocol, engine=_engine_of(result),
+                placement=cell.placement, source=source,
             ))
 
     def _complete_failure(self, cell: Cell, key: tuple,
@@ -339,6 +399,7 @@ class ExperimentContext:
             cfg=cell.cfg, seed=self.seed, ops_scale=self.ops_scale,
             placement=cell.placement, engine="throughput",
             fault_plan=cell.fault_plan, violation=violation,
+            trace_cfg=cell.trace_cfg,
         )
         path = Path(repro_dir) / (
             reprofile.repro_name(payload) + ".json"
@@ -349,6 +410,24 @@ class ExperimentContext:
             "repro": str(path),
         }
 
+    def _simulate(self, cell: Cell, key: tuple):
+        """Simulate one cell in this process and complete it."""
+        try:
+            result = simulate(
+                self.trace(cell.workload),
+                cell.cfg,
+                protocol=cell.protocol,
+                placement=cell.placement,
+                workload_name=cell.workload,
+                fault_plan=cell.fault_plan,
+                sanitize=self.sanitize,
+            )
+        except CoherenceViolation as violation:
+            self._dump_violation(cell, violation)
+            raise
+        self._complete(cell, key, result)
+        return result
+
     def run(self, workload: str, protocol: str,
             cfg: SystemConfig = None, placement: str = "first_touch",
             fault_plan=None):
@@ -357,6 +436,8 @@ class ExperimentContext:
         Results are memoized by cell fingerprint: asking for the same
         cell again — the baseline of every normalized figure, a repeated
         sweep point — returns the completed result without re-simulating.
+        A cell a completed base can be derived from (:meth:`_base`) is
+        rolled up from it instead.
         """
         cell = self._cell(workload, protocol, cfg, placement, fault_plan)
         key = self._key(cell)
@@ -367,21 +448,12 @@ class ExperimentContext:
         if stored is not None:
             self._complete(cell, key, stored, from_store=True)
             return stored
-        try:
-            result = simulate(
-                self.trace(workload),
-                cell.cfg,
-                protocol=protocol,
-                placement=cell.placement,
-                workload_name=workload,
-                fault_plan=cell.fault_plan,
-                sanitize=self.sanitize,
-            )
-        except CoherenceViolation as violation:
-            self._dump_violation(cell, violation)
-            raise
-        self._complete(cell, key, result)
-        return result
+        base = self._base(cell, key)
+        if base is not None:
+            result = derive(base[1], cell.cfg, cell.fault_plan)
+            self._complete(cell, key, result, derived_from=base[0])
+            return result
+        return self._simulate(cell, key)
 
     def run_many(self, requests):
         """Simulate a batch of cells, fanning out across ``jobs``
@@ -393,7 +465,9 @@ class ExperimentContext:
         and already-memoized cells are simulated at most once.  Workers
         only compute — the parent memoizes and journals every fresh cell
         in request order, so a parallel run's journal and tables are
-        byte-identical to a serial run's.
+        byte-identical to a serial run's.  Cells a base completed before
+        this call can be derived from (:meth:`_base`) are rolled up from
+        it and never dispatched.
         """
         cells = []
         for req in requests:
@@ -422,20 +496,28 @@ class ExperimentContext:
             progress = SweepProgress(len(fresh))
 
         # Cells already persisted in the results store replay without
-        # an engine (the cross-run analogue of the in-process memo);
-        # only the remaining frontier is dispatched.
+        # an engine (the cross-run analogue of the in-process memo), and
+        # cells a completed base rolls up to are derived; only the
+        # remaining frontier is simulated.
         prefetched: dict = {}
         replayed: set = set()  # keys satisfied by the store
+        derived_from: dict = {}  # key -> base cell, for derived keys
         to_run: list = []  # (cell, key) needing simulation
         for cell, key in fresh:
             stored = self._store_get(key)
             if stored is not None:
                 prefetched[key] = stored
                 replayed.add(key)
-                if progress is not None:
-                    progress.update(stored)
             else:
-                to_run.append((cell, key))
+                base = self._base(cell, key)
+                if base is None:
+                    to_run.append((cell, key))
+                    continue
+                prefetched[key] = derive(base[1], cell.cfg,
+                                         cell.fault_plan)
+                derived_from[key] = base[0]
+            if progress is not None:
+                progress.update(prefetched[key])
 
         if to_run:
             if executor.jobs > 1 or executor.distributed:
@@ -470,21 +552,19 @@ class ExperimentContext:
                                                failures[id(cell)])
                     else:
                         prefetched[key] = result
-            else:
-                for cell, key in to_run:
-                    self.run(cell.workload, cell.protocol, cell.cfg,
-                             cell.placement, cell.fault_plan)
-                    if progress is not None:
-                        progress.update(services.results[key])
 
         # Journal/memoize every fresh cell in request order — store
-        # replays, parallel completions and serial runs all land in the
-        # same deterministic sequence.
+        # replays, derived cells, parallel completions and serial runs
+        # all land in the same deterministic sequence.
         for cell, key in fresh:
-            if key in services.results:
-                continue  # serial path completed (or failed) it already
-            self._complete(cell, key, prefetched[key],
-                           from_store=key in replayed)
+            if key in prefetched:
+                self._complete(cell, key, prefetched[key],
+                               from_store=key in replayed,
+                               derived_from=derived_from.get(key))
+            elif key not in services.results:  # serial: simulate it now
+                self._simulate(cell, key)
+                if progress is not None:
+                    progress.update(services.results[key])
         if progress is not None:
             progress.close()
         return [services.results[key] for key in keys]

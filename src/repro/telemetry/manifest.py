@@ -12,7 +12,9 @@ Host-performance numbers (``SimResult.wall_seconds`` /
 ``ops_per_second``) are inherently nondeterministic, so they live in a
 ``<slug>.perf.json`` sidecar next to each manifest: the perf
 trajectory is captured per cell without poisoning the deterministic
-artifact set.
+artifact set.  A cell rolled up from a base cell's result rather than
+simulated (:func:`repro.engine.stats.derive`) spent no loop time; its
+sidecar names the base's slug under ``derived_from`` instead.
 """
 
 from __future__ import annotations
@@ -107,8 +109,11 @@ def cell_manifest(result: SimResult, *, workload: str, protocol: str,
     }
 
 
-def perf_sidecar(result: SimResult) -> dict:
-    """Host-performance record (nondeterministic by nature)."""
+def perf_sidecar(result: SimResult, derived_from: str = None) -> dict:
+    """Host-performance record (nondeterministic by nature), or the
+    slug of the base cell a derived cell was rolled up from."""
+    if derived_from is not None:
+        return {"schema": SCHEMA, "derived_from": derived_from}
     return {
         "schema": SCHEMA,
         "wall_seconds": result.wall_seconds,
@@ -127,7 +132,8 @@ def write_cell_artifacts(out_dir, result: SimResult, *, workload: str,
                          protocol: str, cfg, placement: str,
                          fault_plan=None, seed: int = None,
                          ops_scale: float = None,
-                         engine: str = "throughput") -> str:
+                         engine: str = "throughput",
+                         derived_from: str = None) -> str:
     """Write ``<slug>.metrics.json`` + ``<slug>.perf.json``; returns slug."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,7 +144,8 @@ def write_cell_artifacts(out_dir, result: SimResult, *, workload: str,
         ops_scale=ops_scale, engine=engine,
     )
     write_json(out / f"{slug}.metrics.json", manifest)
-    write_json(out / f"{slug}.perf.json", perf_sidecar(result))
+    write_json(out / f"{slug}.perf.json",
+               perf_sidecar(result, derived_from))
     return slug
 
 

@@ -12,8 +12,10 @@ simulation, it is dumped in the same JSON envelope::
   :func:`repro.verify.model.replay`.
 * ``trace`` repros carry everything a sanitized simulation needs to be
   re-run (workload, seed, ops scale, protocol, placement, engine,
-  fault plan, config) — the config as its deterministic ``repr``,
-  rebuilt with :func:`config_from_repr`.
+  fault plan, config, and the config the cell's trace was generated
+  against, which a sweep variant's cell does not share with its run
+  config) — each config as its deterministic ``repr``, rebuilt with
+  :func:`config_from_repr`.
 
 ``run(path)`` replays either kind and reports whether the recorded
 violation reproduces, making every dump a self-contained regression
@@ -57,8 +59,12 @@ def schedule_repro(*, protocol: str, geometry, program: str, options,
 def trace_repro(*, workload: str, protocol: str, cfg, seed: int,
                 ops_scale: float, placement: str = "first_touch",
                 engine: str = "throughput", fault_plan=None,
-                violation=None) -> dict:
-    """Envelope for a runtime sanitizer violation inside a timing run."""
+                violation=None, trace_cfg=None) -> dict:
+    """Envelope for a runtime sanitizer violation inside a timing run.
+
+    ``cfg`` is the platform the run simulated; ``trace_cfg`` the config
+    its trace was generated against (``None``: ``cfg``).
+    """
     plan = None
     if fault_plan is not None:
         plan = {"name": fault_plan.name, "seed": fault_plan.seed}
@@ -74,6 +80,7 @@ def trace_repro(*, workload: str, protocol: str, cfg, seed: int,
         "ops_scale": ops_scale,
         "fault_plan": plan,
         "config": repr(cfg),
+        "trace_config": repr(trace_cfg if trace_cfg is not None else cfg),
         "violation": None,
     }
     if violation is not None:
@@ -191,15 +198,25 @@ def _run_schedule(repro: dict) -> dict:
             "expected": expected, "observed": observed, "detail": detail}
 
 
+def replay_trace(repro: dict):
+    """The trace a trace-kind repro replays: its workload generated
+    against the recorded trace config (payloads written before that
+    field existed fall back to the run config)."""
+    from repro.trace.workloads import WORKLOADS
+
+    trace_cfg = config_from_repr(repro.get("trace_config",
+                                           repro["config"]))
+    return WORKLOADS[repro["workload"]].generate(
+        trace_cfg, seed=repro["seed"], ops_scale=repro["ops_scale"]
+    )
+
+
 def _run_trace(repro: dict) -> dict:
     from repro.core.sanitizer import CoherenceViolation
     from repro.engine.simulator import simulate
-    from repro.trace.workloads import WORKLOADS
 
     cfg = config_from_repr(repro["config"])
-    trace = WORKLOADS[repro["workload"]].generate(
-        cfg, seed=repro["seed"], ops_scale=repro["ops_scale"]
-    )
+    trace = replay_trace(repro)
     plan = None
     if repro.get("fault_plan"):
         from repro.faults import make_fault_plan

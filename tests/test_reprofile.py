@@ -133,6 +133,25 @@ class TestRunnerReproDir:
         assert payload["protocol"] == "hmg"
         assert excinfo.value.cell_info["repro"] == str(files[0])
 
+    def test_sweep_variant_repro_replays_the_sweep_trace(self, tmp_path,
+                                                         monkeypatch):
+        """fig13's 2x-L2 cell simulates the trace generated against the
+        base config; its repro regenerates that trace, while a payload
+        without a trace config falls back to the run config's trace."""
+        monkeypatch.setattr(HMGProtocol, "_inv_sharers",
+                            lambda self, *a, **k: None)
+        base = SystemConfig.paper_scaled(1.0 / 64)
+        ctx = ExperimentContext(base, seed=1, ops_scale=0.05,
+                                sanitize=True, repro_dir=str(tmp_path))
+        with pytest.raises(CoherenceViolation):
+            ctx.run("CoMD", "hmg", cfg=base.replace(
+                l2_bytes_per_gpu=2 * base.l2_bytes_per_gpu))
+        payload = reprofile.load(next(tmp_path.glob("*.json")))
+        assert len(ctx.trace("CoMD")) == 6208
+        assert len(reprofile.replay_trace(payload)) == 6208
+        del payload["trace_config"]
+        assert len(reprofile.replay_trace(payload)) == 6224
+
     def test_parallel_branch_dumps_tagged_cell(self, tmp_path, cfg):
         ctx = ExperimentContext(cfg, seed=1, ops_scale=0.03,
                                 sanitize=True, repro_dir=str(tmp_path),

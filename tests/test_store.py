@@ -199,6 +199,27 @@ class TestContextIntegration:
             ).read_bytes()
         assert journals["cold"] == journals["warm"]
 
+    def test_partial_replay_journals_in_request_order(self, tmp_path):
+        """A batch that mixes store replays with simulated cells
+        journals them in request order, serially and under --jobs."""
+        from repro.experiments.journal import RunJournal
+
+        first = ExperimentContext(CFG, store=tmp_path / "s", **QUICK)
+        first.run("CoMD", "hmg")
+        first.store.close()
+        order = {}
+        for jobs in (1, 2):
+            shutil.copytree(tmp_path / "s", tmp_path / f"s{jobs}")
+            journal = RunJournal(tmp_path / f"j{jobs}", context_key={})
+            ctx = ExperimentContext(CFG, store=tmp_path / f"s{jobs}",
+                                    journal=journal, jobs=jobs, **QUICK)
+            ctx.run_many(self.GRID[::-1])  # the stored hmg cell first
+            ctx.close()
+            journal.close()
+            ctx.store.close()
+            order[jobs] = [cell["protocol"] for cell in journal.cells()]
+        assert order[1] == order[2] == ["hmg", "sw", "noremote"]
+
     def test_store_respects_seed(self, tmp_path):
         seeded = ExperimentContext(CFG, store=tmp_path / "s", seed=1,
                                    ops_scale=0.05)
