@@ -15,8 +15,9 @@ requesting GPM's identity.
 from __future__ import annotations
 
 from repro.core.directory import DirectoryEntry, Sharer
-from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import MemOp, MsgType, NodeId, Scope
+from repro.core.protocol import (AccessOutcome, CoherenceProtocol,
+                                 MessagePlan)
+from repro.core.types import CTA, MemOp, MsgType, NodeId, Scope
 
 
 class HMGProtocol(CoherenceProtocol):
@@ -101,18 +102,10 @@ class HMGProtocol(CoherenceProtocol):
     # Routing helpers
     # ------------------------------------------------------------------
 
-    def _homes(self, line: int, node: NodeId):
-        """(gpu_home, sys_home) for a line as seen from ``node``.
-
-        Within the owning GPU the two coincide: the GPU home node of
-        the owning GPU is the page's GPM itself.
-        """
-        return self.homes(line, node)
-
     def _may_hit(self, cache_node: NodeId, op: MemOp, ghome: NodeId,
                  syshome: NodeId) -> bool:
         """Scope-dependent hit permission (Section V-B, "Loads")."""
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             return True
         if op.scope == Scope.GPU:
             return cache_node in (ghome, syshome)
@@ -128,12 +121,12 @@ class HMGProtocol(CoherenceProtocol):
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
+        if op.scope is CTA:
             node = op.node
             slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
             hit = slices[op.cta % len(slices)].lookup(line)
             if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+                return AccessOutcome(hit.version, latency, False, "l1")
 
         node = op.node
         nflat = node.gpu * self._gpms_per_gpu + node.gpm
@@ -149,7 +142,7 @@ class HMGProtocol(CoherenceProtocol):
             self._l1_fill(op, line, entry.version, remote=op.node != syshome)
             level = ("sys_home" if op.node == syshome
                      else "gpu_home" if op.node == ghome else "local_l2")
-            return AccessOutcome(entry.version, latency, hit_level=level)
+            return AccessOutcome(entry.version, latency, False, level)
 
         if op.node == syshome:
             # Local miss at the system home itself: straight to DRAM.
@@ -158,7 +151,7 @@ class HMGProtocol(CoherenceProtocol):
             victim = local.fill(line, version, remote=False)
             self._handle_l2_victim(op.node, victim)
             self._l1_fill(op, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+            return AccessOutcome(version, latency, False, "dram")
 
         # Miss: climb the hierarchy — GPU home first (if we are not it).
         version = None
@@ -228,7 +221,7 @@ class HMGProtocol(CoherenceProtocol):
         victim = local.fill(line, version, remote=True)
         self._handle_l2_victim(op.node, victim)
         self._l1_fill(op, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        return AccessOutcome(version, latency, False, level)
 
     # ------------------------------------------------------------------
     # Stores and atomics
@@ -309,7 +302,7 @@ class HMGProtocol(CoherenceProtocol):
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             version = self._new_version()
             self._l1_store(op, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
@@ -329,7 +322,7 @@ class HMGProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out = self._load(op)
             out.exposed = True
             return out
@@ -343,48 +336,51 @@ class HMGProtocol(CoherenceProtocol):
         out.exposed = True
         return out
 
-    def _release_fence(self, op: MemOp, scope: Scope) -> float:
+    def _fence_plan(self, node: NodeId, scope: Scope) -> MessagePlan:
         """Scoped release fence.
 
         A .gpu release only drains within the issuing GPU — it "need not
         flush all write-back operations across the inter-GPU network"
         (Section V-B).  A .sys release fans out hierarchically.
         """
+        message = self._message
+        messages = []
         farthest = 0
         for gpm in range(self.cfg.gpms_per_gpu):
-            other = NodeId(op.node.gpu, gpm)
-            if other == op.node:
+            other = NodeId(node.gpu, gpm)
+            if other == node:
                 continue
-            self.send(MsgType.RELEASE_FENCE, op.node, other)
-            self.send(MsgType.RELEASE_ACK, other, op.node)
-            farthest = max(farthest, self.rtt(op.node, other))
+            messages.append(message(MsgType.RELEASE_FENCE, node, other))
+            messages.append(message(MsgType.RELEASE_ACK, other, node))
+            farthest = max(farthest, self.rtt(node, other))
         if scope == Scope.SYS:
             for gpu in range(self.cfg.num_gpus):
-                if gpu == op.node.gpu:
+                if gpu == node.gpu:
                     continue
-                peer = NodeId(gpu, op.node.gpm)
-                self.send(MsgType.RELEASE_FENCE, op.node, peer)
-                farthest = max(farthest, self.rtt(op.node, peer))
+                peer = NodeId(gpu, node.gpm)
+                messages.append(message(MsgType.RELEASE_FENCE, node, peer))
+                farthest = max(farthest, self.rtt(node, peer))
                 # The peer GPU home fences its own GPMs before acking.
                 for gpm in range(self.cfg.gpms_per_gpu):
                     inner = NodeId(gpu, gpm)
                     if inner == peer:
                         continue
-                    self.send(MsgType.RELEASE_FENCE, peer, inner)
-                    self.send(MsgType.RELEASE_ACK, inner, peer)
-                self.send(MsgType.RELEASE_ACK, peer, op.node)
-        return float(farthest)
+                    messages.append(
+                        message(MsgType.RELEASE_FENCE, peer, inner))
+                    messages.append(message(MsgType.RELEASE_ACK, inner, peer))
+                messages.append(message(MsgType.RELEASE_ACK, peer, node))
+        return MessagePlan(messages, float(farthest))
 
     def _release(self, op: MemOp) -> AccessOutcome:
         out = self._store(op)
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out.exposed = True
             return out
-        fence_latency = self._release_fence(op, op.scope)
+        fence_latency = self._release_fence(op.node, op.scope)
         return AccessOutcome(0, out.latency + fence_latency, exposed=True)
 
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
-        fence_latency = self._release_fence(op, Scope.SYS)
+        fence_latency = self._release_fence(op.node, Scope.SYS)
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(op.node)
         latency = fence_latency + self.cfg.timing.bulk_invalidate_cycles
         return AccessOutcome(0, latency, exposed=True)

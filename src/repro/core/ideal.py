@@ -14,7 +14,7 @@ exactly this definition.
 from __future__ import annotations
 
 from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import MemOp, MsgType, NodeId, Scope
+from repro.core.types import CTA, MemOp, MsgType, NodeId
 
 
 class IdealProtocol(CoherenceProtocol):
@@ -35,9 +35,6 @@ class IdealProtocol(CoherenceProtocol):
         # profile at scale.
         self._copies: dict[int, set] = {}
 
-    def _homes(self, line: int, node: NodeId):
-        return self.homes(line, node)
-
     def _track(self, cache, line: int) -> None:
         copies = self._copies.get(line)
         if copies is None:
@@ -47,12 +44,12 @@ class IdealProtocol(CoherenceProtocol):
 
     def _l1_fill(self, op, line, version, remote):
         sl = self.l1_slice(op)
-        sl.fill(line, version, remote=remote)
+        sl.fill(line, version, False, remote)
         self._track(sl, line)
 
     def _l1_store(self, op, line, version, remote):
         sl = self.l1_slice(op)
-        sl.write(line, version, dirty=False, remote=remote)
+        sl.write(line, version, False, remote)
         self._track(sl, line)
 
     def _home_store(self, home: NodeId, line: int, version: int,
@@ -80,7 +77,7 @@ class IdealProtocol(CoherenceProtocol):
         slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
         hit = slices[op.cta % len(slices)].lookup(line)
         if hit is not None:
-            return AccessOutcome(hit.version, latency, hit_level="l1")
+            return AccessOutcome(hit.version, latency, False, "l1")
 
         nflat = node.gpu * self._gpms_per_gpu + node.gpm
         local = self.l2[nflat]
@@ -89,7 +86,7 @@ class IdealProtocol(CoherenceProtocol):
         entry = local.lookup(line)
         if entry is not None:
             self._l1_fill(op, line, entry.version, remote=op.node != syshome)
-            return AccessOutcome(entry.version, latency, hit_level="local_l2")
+            return AccessOutcome(entry.version, latency, False, "local_l2")
 
         if op.node == syshome:
             version = self.dram[self.flat(syshome)].read(line)
@@ -98,7 +95,7 @@ class IdealProtocol(CoherenceProtocol):
             self._track(local, line)
             self._handle_l2_victim(op.node, victim)
             self._l1_fill(op, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+            return AccessOutcome(version, latency, False, "dram")
 
         version = None
         level = "dram"
@@ -150,7 +147,7 @@ class IdealProtocol(CoherenceProtocol):
         self._track(local, line)
         self._handle_l2_victim(op.node, victim)
         self._l1_fill(op, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        return AccessOutcome(version, latency, False, level)
 
     def _store(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
@@ -196,7 +193,7 @@ class IdealProtocol(CoherenceProtocol):
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
         # No invalidation, no forced misses: an acquire is a plain load.
-        return self._load(op.with_scope(Scope.CTA))
+        return self._load(op.with_scope(CTA))
 
     def _release(self, op: MemOp) -> AccessOutcome:
         return self._store(op)

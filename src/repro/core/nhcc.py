@@ -14,8 +14,9 @@ sharing GPM by flat index.  The protocol follows Table I exactly:
 from __future__ import annotations
 
 from repro.core.directory import DirectoryEntry, Sharer
-from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import MemOp, MsgType, NodeId, Scope
+from repro.core.protocol import (AccessOutcome, CoherenceProtocol,
+                                 MessagePlan)
+from repro.core.types import CTA, MemOp, MsgType, NodeId, Scope
 
 
 class NHCCProtocol(CoherenceProtocol):
@@ -111,12 +112,12 @@ class NHCCProtocol(CoherenceProtocol):
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
+        if op.scope is CTA:
             node = op.node
             slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
             hit = slices[op.cta % len(slices)].lookup(line)
             if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+                return AccessOutcome(hit.version, latency, False, "l1")
 
         node = op.node
         nflat = node.gpu * self._gpms_per_gpu + node.gpm
@@ -125,13 +126,13 @@ class NHCCProtocol(CoherenceProtocol):
         latency += self._l2_hit_lat
         # Scoped (> .cta) loads must miss everywhere but the home node,
         # which is the flat protocol's only coherence point.
-        may_hit_local = op.scope == Scope.CTA or op.node == home
+        may_hit_local = op.scope == CTA or op.node == home
         entry = local.lookup(line) if may_hit_local else None
         if not may_hit_local:
             local.stats.misses += 1
         if entry is not None:
             self._l1_fill(op, line, entry.version, remote=home != op.node)
-            return AccessOutcome(entry.version, latency, hit_level="local_l2")
+            return AccessOutcome(entry.version, latency, False, "local_l2")
 
         if op.node == home:
             version = self.dram[self.flat(home)].read(line)
@@ -139,7 +140,7 @@ class NHCCProtocol(CoherenceProtocol):
             victim = local.fill(line, version, remote=False)
             self._handle_l2_victim(op.node, victim)
             self._l1_fill(op, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+            return AccessOutcome(version, latency, False, "dram")
 
         # Remote request to the home node.
         if home.gpu != op.node.gpu:
@@ -169,7 +170,7 @@ class NHCCProtocol(CoherenceProtocol):
         self._handle_l2_victim(op.node, victim)
         self._l2_touch(op.node, self._line_size)
         self._l1_fill(op, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        return AccessOutcome(version, latency, False, level)
 
     # ------------------------------------------------------------------
     # Stores and atomics
@@ -219,7 +220,7 @@ class NHCCProtocol(CoherenceProtocol):
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             # .cta-scope synchronization is performed in the L1.
             version = self._new_version()
             self._l1_store(op, line, version, remote=False)
@@ -263,7 +264,7 @@ class NHCCProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             # Satisfied within the SM's L1 — no action needed.
             out = self._load(op)
             out.exposed = True
@@ -280,32 +281,32 @@ class NHCCProtocol(CoherenceProtocol):
         out.exposed = True
         return out
 
-    def _release_fence(self, op: MemOp) -> float:
+    def _fence_plan(self, node: NodeId, scope: Scope) -> MessagePlan:
         """Propagate a release fence to every remote L2 and collect the
-        acknowledgments (Section IV, "Release")."""
+        acknowledgments (Section IV, "Release"); the flat protocol
+        fences the whole machine at either scope."""
+        messages = []
         farthest = 0
         for other in self.all_nodes():
-            if other == op.node:
+            if other == node:
                 continue
-            self.send(MsgType.RELEASE_FENCE, op.node, other)
-            self.send(MsgType.RELEASE_ACK, other, op.node)
-            farthest = max(farthest, self.rtt(op.node, other))
-        return float(farthest)
+            messages.append(self._message(MsgType.RELEASE_FENCE, node, other))
+            messages.append(self._message(MsgType.RELEASE_ACK, other, node))
+            farthest = max(farthest, self.rtt(node, other))
+        return MessagePlan(messages, float(farthest))
 
     def _release(self, op: MemOp) -> AccessOutcome:
         out = self._store(op)
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out.exposed = True
             return out
-        fence_latency = self._release_fence(op)
+        fence_latency = self._release_fence(op.node, op.scope)
         return AccessOutcome(0, out.latency + fence_latency, exposed=True)
 
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
         # Implicit .sys release + acquire: flush fence plus full L1
         # invalidation; the hardware-coherent L2s are left intact.
-        fence_latency = self._release_fence(
-            op.with_scope(Scope.SYS)
-        )
+        fence_latency = self._release_fence(op.node, Scope.SYS)
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(op.node)
         latency = fence_latency + self.cfg.timing.bulk_invalidate_cycles
         return AccessOutcome(0, latency, exposed=True)

@@ -12,7 +12,7 @@ of intra-GPU remote lines at synchronization points).
 from __future__ import annotations
 
 from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import MemOp, MsgType, NodeId, Scope
+from repro.core.types import CTA, MemOp, MsgType, NodeId
 
 
 class NoRemoteCachingProtocol(CoherenceProtocol):
@@ -35,18 +35,18 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if cacheable and op.scope is Scope.CTA:
+        if cacheable and op.scope is CTA:
             node = op.node
             slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
             hit = slices[op.cta % len(slices)].lookup(line)
             if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+                return AccessOutcome(hit.version, latency, False, "l1")
 
         node = op.node
         nflat = node.gpu * self._gpms_per_gpu + node.gpm
         local = self.l2[nflat]
         may_hit_local = cacheable and (
-            op.scope == Scope.CTA or node == home
+            op.scope == CTA or node == home
         )
         if may_hit_local:
             self.l2_bytes_per_gpm[nflat] += self._line_size
@@ -54,8 +54,8 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
             entry = local.lookup(line)
             if entry is not None:
                 self._l1_fill(op, line, entry.version, remote=home != op.node)
-                return AccessOutcome(entry.version, latency,
-                                     hit_level="local_l2")
+                return AccessOutcome(entry.version, latency, False,
+                                     "local_l2")
 
         if op.node == home:
             version = self.dram[self.flat(home)].read(line)
@@ -63,7 +63,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
             victim = local.fill(line, version, remote=False)
             self._handle_l2_victim(op.node, victim)
             self._l1_fill(op, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+            return AccessOutcome(version, latency, False, "dram")
 
         if home.gpu != op.node.gpu:
             self.stats.remote_gpu_loads += 1
@@ -88,7 +88,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
             self._handle_l2_victim(op.node, victim)
             self._l2_touch(op.node, self._line_size)
             self._l1_fill(op, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        return AccessOutcome(version, latency, False, level)
 
     def _store(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
@@ -117,7 +117,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             version = self._new_version()
             self._l1_store(op, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
@@ -133,7 +133,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         return AccessOutcome(version, latency, exposed=False)
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out = self._load(op)
             out.exposed = True
             return out
@@ -141,20 +141,23 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(
             op.node, op.cta % len(slices)
         )
-        # Drop intra-GPU remote lines (software coherence within the GPU).
-        dropped = self.l2[self.flat(op.node)].invalidate_where(
-            lambda entry: entry.remote
-        )
-        self.stats.lines_inv_by_acquire += len(dropped)
-        self.bulk_invs_per_gpm[self.flat(op.node)] += 1
+        self._drop_remote_l2(op.node)
         out = self._load(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
         return out
 
+    def _drop_remote_l2(self, node: NodeId) -> None:
+        """Drop intra-GPU remote lines from a GPM's L2 (software
+        coherence within the GPU)."""
+        flat = self.flat(node)
+        self.stats.lines_inv_by_acquire += len(
+            self.l2[flat].invalidate_remote())
+        self.bulk_invs_per_gpm[flat] += 1
+
     def _release(self, op: MemOp) -> AccessOutcome:
         out = self._store(op)
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out.exposed = True
             return out
         if self.cfg.num_gpus > 1:
@@ -169,10 +172,6 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         else:
             stall = 2.0 * self.cfg.latency.inter_gpm_hop
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(op.node)
-        dropped = self.l2[self.flat(op.node)].invalidate_where(
-            lambda entry: entry.remote
-        )
-        self.stats.lines_inv_by_acquire += len(dropped)
-        self.bulk_invs_per_gpm[self.flat(op.node)] += 1
+        self._drop_remote_l2(op.node)
         latency = stall + self.cfg.timing.bulk_invalidate_cycles
         return AccessOutcome(0, latency, exposed=True)

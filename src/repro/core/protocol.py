@@ -20,12 +20,37 @@ from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
 from repro.core.directory import CoherenceDirectory
-from repro.core.types import MemOp, MsgType, NodeId, OpType, Scope
+from repro.core.types import CTA, MemOp, MsgType, NodeId, OpType, Scope
 from repro.memsys.address import AddressMap
 from repro.memsys.cache import CacheLine, SetAssociativeCache
 from repro.memsys.dram import DramPartition
 from repro.memsys.page_table import PageTable, make_placement
 from repro.telemetry.tracer import NULL_TRACER
+
+
+class MessagePlan:
+    """A fixed message sequence, built once and charged as a unit.
+
+    A release fence issued by one (node, scope) sends the same messages
+    every time (:meth:`CoherenceProtocol._release_fence`), so the
+    protocol builds its plan on the first such fence and charges it on
+    every later one.  ``messages`` holds ``(mtype, src, dst, line,
+    size_bytes)`` tuples in send order, ``totals`` the ``(mtype, count,
+    bytes)`` of each type in first-send order, and ``latency`` the
+    farthest acknowledgment round trip the issuer waits for.
+    """
+
+    __slots__ = ("messages", "totals", "latency")
+
+    def __init__(self, messages, latency: float):
+        self.messages = tuple(messages)
+        totals: dict = {}
+        for mtype, _src, _dst, _line, size in self.messages:
+            count, nbytes = totals.get(mtype, (0, 0))
+            totals[mtype] = (count + 1, nbytes + size)
+        self.totals = tuple((mtype, count, nbytes)
+                            for mtype, (count, nbytes) in totals.items())
+        self.latency = latency
 
 
 class TrafficSink(abc.ABC):
@@ -35,6 +60,13 @@ class TrafficSink(abc.ABC):
     def send(self, mtype: MsgType, src: NodeId, dst: NodeId,
              line: int, size_bytes: int) -> None:
         """One message of ``size_bytes`` from ``src`` to ``dst``."""
+
+    def charge(self, plan: MessagePlan) -> None:
+        """Every message of ``plan``, in order.  Sinks that only
+        aggregate bytes override this with precomputed totals."""
+        send = self.send
+        for message in plan.messages:
+            send(*message)
 
 
 class NullSink(TrafficSink):
@@ -67,7 +99,11 @@ class RecordingSink(TrafficSink):
 
 
 class AccessOutcome:
-    """Result of one processed trace operation."""
+    """Result of one processed trace operation.
+
+    The protocols build one per op; the load paths pass every field
+    positionally, since keyword arguments double the construction cost.
+    """
 
     __slots__ = ("version", "latency", "exposed", "hit_level")
 
@@ -86,6 +122,21 @@ class AccessOutcome:
     def __repr__(self):
         return (f"AccessOutcome(v{self.version}, {self.latency:.0f}cy, "
                 f"{self.hit_level}{', exposed' if self.exposed else ''})")
+
+
+#: Header-only requests, sized by their payload.
+_REQUESTS = frozenset((MsgType.LOAD_REQ, MsgType.ATOMIC_REQ,
+                       MsgType.STORE_REQ))
+
+#: The :class:`ProtocolStats` counter each op kind also bumps.
+_KIND_COUNTERS = {
+    OpType.LOAD: "loads",
+    OpType.STORE: "stores",
+    OpType.ATOMIC: "atomics",
+    OpType.ACQUIRE: "acquires",
+    OpType.RELEASE: "releases",
+    OpType.KERNEL_BOUNDARY: "kernel_boundaries",
+}
 
 
 @dataclass(slots=True)
@@ -115,14 +166,13 @@ class ProtocolStats:
     kernel_boundaries: int = 0
     atomics: int = 0
 
-    def count_op(self, op: OpType) -> None:
-        """Tally one processed trace operation."""
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
-
-    def count_msg(self, mtype: MsgType, size: int) -> None:
-        """Tally one emitted message and its bytes."""
-        self.msg_counts[mtype] = self.msg_counts.get(mtype, 0) + 1
-        self.msg_bytes[mtype] = self.msg_bytes.get(mtype, 0) + size
+    def count_ops(self, kinds: dict) -> None:
+        """Add ``{OpType: ops}`` tallies to the op counters."""
+        counts = self.op_counts
+        for kind, n in kinds.items():
+            counts[kind] = counts.get(kind, 0) + n
+            counter = _KIND_COUNTERS[kind]
+            setattr(self, counter, getattr(self, counter) + n)
 
     @property
     def inv_messages(self) -> int:
@@ -191,6 +241,9 @@ class CoherenceProtocol(abc.ABC):
         self._gpms_per_gpu = cfg.gpms_per_gpu
         self._sys_home_memo: dict = {}
         self._homes_memo: dict = {}
+        #: ``(node, scope)`` -> the :class:`MessagePlan` of its release
+        #: fence (see :meth:`_release_fence`).
+        self._fence_plans: dict = {}
         self._lat = cfg.latency
         self._l1_hit_lat = float(cfg.latency.l1_hit)
         self._l2_hit_lat = float(cfg.latency.l2_hit)
@@ -346,10 +399,43 @@ class CoherenceProtocol(abc.ABC):
         size = self._fixed_msg_size.get(mtype)
         if size is not None:
             return size
-        if mtype in (MsgType.LOAD_REQ, MsgType.ATOMIC_REQ,
-                     MsgType.STORE_REQ):
+        if mtype in _REQUESTS:
             return self._req_header + payload
         raise ValueError(f"unknown message type {mtype}")
+
+    def _message(self, mtype: MsgType, src: NodeId, dst: NodeId) -> tuple:
+        """One line-less, payload-free message (a fence or its ack) as a
+        :class:`MessagePlan` entry."""
+        return (mtype, src, dst, 0, self._msg_size(mtype))
+
+    def _charge(self, plan: MessagePlan) -> float:
+        """Emit every message of ``plan``: account the per-type totals
+        (what :meth:`send` would add message by message) and hand the
+        plan to the sink.  Returns the plan's latency."""
+        stats = self.stats
+        counts = stats.msg_counts
+        sizes = stats.msg_bytes
+        for mtype, count, nbytes in plan.totals:
+            counts[mtype] = counts.get(mtype, 0) + count
+            sizes[mtype] = sizes.get(mtype, 0) + nbytes
+        self.sink.charge(plan)
+        return plan.latency
+
+    def _release_fence(self, node: NodeId, scope: Scope) -> float:
+        """Send the release fence ``node`` issues at ``scope`` and
+        collect its acknowledgments; returns the farthest ack round
+        trip.  The messages depend only on ``(node, scope)``, so the
+        plan is built once (:meth:`_fence_plan`) and charged after."""
+        key = (node, scope)
+        plan = self._fence_plans.get(key)
+        if plan is None:
+            plan = self._fence_plans[key] = self._fence_plan(node, scope)
+        return self._charge(plan)
+
+    def _fence_plan(self, node: NodeId, scope: Scope) -> MessagePlan:
+        """The messages and latency of one release fence (protocols
+        that send fences override this)."""
+        raise NotImplementedError(f"{self.name} sends no release fences")
 
     def send(self, mtype: MsgType, src: NodeId, dst: NodeId,
              line: int = 0, payload: int = 0) -> None:
@@ -413,8 +499,28 @@ class CoherenceProtocol(abc.ABC):
     # Op processing
     # ------------------------------------------------------------------
 
+    def handlers(self) -> tuple:
+        """The per-kind op handlers, indexed by :class:`OpType` value.
+
+        The throughput engine dispatches straight to these and adds the
+        trace's op tallies once (:meth:`count_ops`) instead of counting
+        op by op as :meth:`process` does.
+        """
+        return (self._load, self._store, self._atomic, self._acquire,
+                self._release, self._kernel_boundary)
+
+    def count_ops(self, summary) -> None:
+        """Add a trace's op tallies (a
+        :class:`repro.trace.stream.OpSummary`): what :meth:`process`
+        counts op by op."""
+        self.stats.count_ops(summary.kinds)
+        ops_per_gpm = self.ops_per_gpm
+        gpms_per_gpu = self._gpms_per_gpu
+        for node, n in summary.nodes.items():
+            ops_per_gpm[node.gpu * gpms_per_gpu + node.gpm] += n
+
     def process(self, op: MemOp) -> AccessOutcome:
-        """Run one trace operation through the protocol."""
+        """Run one trace operation through the protocol, counting it."""
         kind = op.op
         node = op.node
         stats = self.stats
@@ -476,7 +582,7 @@ class CoherenceProtocol(abc.ABC):
 
     def _l1_load(self, op: MemOp, line: int):
         """Probe the issuing L1 slice; scoped (> .cta) loads must miss."""
-        if op.scope > Scope.CTA:
+        if op.scope > CTA:
             return None
         node = op.node
         slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
@@ -486,7 +592,7 @@ class CoherenceProtocol(abc.ABC):
                  remote: bool) -> None:
         node = op.node
         slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-        slices[op.cta % len(slices)].fill(line, version, remote=remote)
+        slices[op.cta % len(slices)].fill(line, version, False, remote)
         if self._tracing:
             self.tracer.fill("l1", node, line)
 
@@ -495,9 +601,7 @@ class CoherenceProtocol(abc.ABC):
         """Write-through store: the L1 keeps the written data."""
         node = op.node
         slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-        slices[op.cta % len(slices)].write(
-            line, version, dirty=False, remote=remote
-        )
+        slices[op.cta % len(slices)].write(line, version, False, remote)
 
     def _invalidate_l1s(self, node: NodeId, slice_index: int = None) -> int:
         """Flash-invalidate L1 slice(s) of a GPM (acquire semantics)."""

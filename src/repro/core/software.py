@@ -22,7 +22,7 @@ drain.
 from __future__ import annotations
 
 from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import MemOp, MsgType, NodeId, Scope
+from repro.core.types import CTA, MemOp, MsgType, NodeId, Scope
 
 
 class _SoftwareProtocolBase(CoherenceProtocol):
@@ -32,19 +32,12 @@ class _SoftwareProtocolBase(CoherenceProtocol):
 
     # -- bulk invalidation ------------------------------------------------
 
-    def _owner_of_line(self, line: int, toucher: NodeId) -> NodeId:
-        # sys_home is the same computation, memoized — the bulk
-        # invalidation predicates below call this once per resident
-        # line on every acquire.
-        return self.sys_home(line, toucher)
-
-    def _gpu_home_of_line(self, line: int, node: NodeId) -> NodeId:
-        owner = self._owner_of_line(line, node)
-        return self.amap.gpu_home(line, node.gpu, owner)
-
-    def _bulk_invalidate_l2(self, node: NodeId, predicate) -> int:
-        """Flash-invalidate matching lines in one GPM's L2."""
-        dropped = self.l2[self.flat(node)].invalidate_where(predicate)
+    def _bulk_invalidate_l2(self, node: NodeId, predicate=None) -> int:
+        """Flash-invalidate matching lines in one GPM's L2; no
+        ``predicate`` drops every remotely-homed line."""
+        l2 = self.l2[self.flat(node)]
+        dropped = (l2.invalidate_remote() if predicate is None
+                   else l2.invalidate_where(predicate))
         self.bulk_invs_per_gpm[self.flat(node)] += 1
         self.stats.lines_inv_by_acquire += len(dropped)
         if self._tracing:
@@ -66,7 +59,7 @@ class _SoftwareProtocolBase(CoherenceProtocol):
 
     def _release(self, op: MemOp) -> AccessOutcome:
         out = self._store(op)
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out.exposed = True
             return out
         return AccessOutcome(0, out.latency + self._release_stall(op),
@@ -75,12 +68,12 @@ class _SoftwareProtocolBase(CoherenceProtocol):
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
         stall = self._release_stall(op.with_scope(Scope.SYS))
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(op.node)
-        dropped = self._boundary_l2_invalidate(op.node)
+        # A .sys boundary drops every remotely-homed line of the L2: the
+        # flat protocol's acquire action, and hsw's .sys sweep of the
+        # issuing GPM (see HierarchicalSWProtocol._acquire).
+        self._bulk_invalidate_l2(op.node)
         latency = stall + self.cfg.timing.bulk_invalidate_cycles
         return AccessOutcome(0, latency, exposed=True)
-
-    def _boundary_l2_invalidate(self, node: NodeId) -> int:
-        raise NotImplementedError
 
 
 class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
@@ -89,37 +82,34 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
     name = "sw"
     label = "Non-Hierarchical SW Coherence"
 
-    def _home(self, line: int, toucher: NodeId) -> NodeId:
-        return self.sys_home(line, toucher)
-
     # -- loads ---------------------------------------------------------
 
     def _load(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
-        home = self._home(line, op.node)
+        home = self.sys_home(line, op.node)
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
+        if op.scope is CTA:
             node = op.node
             slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
             hit = slices[op.cta % len(slices)].lookup(line)
             if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+                return AccessOutcome(hit.version, latency, False, "l1")
 
         node = op.node
         nflat = node.gpu * self._gpms_per_gpu + node.gpm
         local = self.l2[nflat]
         self.l2_bytes_per_gpm[nflat] += self._line_size
         latency += self._l2_hit_lat
-        may_hit_local = op.scope == Scope.CTA or op.node == home
+        may_hit_local = op.scope == CTA or op.node == home
         entry = local.lookup(line) if may_hit_local else None
         if not may_hit_local:
             local.stats.misses += 1
         if entry is not None:
             self._l1_fill(op, line, entry.version, remote=home != op.node)
-            return AccessOutcome(entry.version, latency,
-                                 hit_level="local_l2")
+            return AccessOutcome(entry.version, latency, False,
+                                 "local_l2")
 
         if op.node == home:
             version = self.dram[self.flat(home)].read(line)
@@ -127,7 +117,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
             victim = local.fill(line, version, remote=False)
             self._handle_l2_victim(op.node, victim)
             self._l1_fill(op, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+            return AccessOutcome(version, latency, False, "dram")
 
         if home.gpu != op.node.gpu:
             self.stats.remote_gpu_loads += 1
@@ -150,13 +140,13 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         victim = local.fill(line, version, remote=True)
         self._handle_l2_victim(op.node, victim)
         self._l1_fill(op, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        return AccessOutcome(version, latency, False, level)
 
     # -- stores ----------------------------------------------------------
 
     def _store(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
-        home = self._home(line, op.node)
+        home = self.sys_home(line, op.node)
         version = self._new_version()
         payload = min(op.size, self._line_size)
         lat = self._lat
@@ -179,14 +169,14 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             version = self._new_version()
             self._l1_store(op, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         # Flat software coherence performs every scoped atomic at the
         # system home node — it has no closer coherence point.
-        home = self._home(line, op.node)
+        home = self.sys_home(line, op.node)
         version = self._new_version()
         latency = self._l2_hit_lat
         if op.node != home:
@@ -199,7 +189,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
     # -- synchronization ----------------------------------------------
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out = self._load(op)
             out.exposed = True
             return out
@@ -209,9 +199,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         )
         # Bulk-invalidate every remotely-homed line in the local L2 —
         # the same action for .gpu and .sys in the flat protocol.
-        self._bulk_invalidate_l2(
-            op.node, lambda entry: entry.remote
-        )
+        self._bulk_invalidate_l2(op.node)
         out = self._load(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
@@ -223,9 +211,6 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
             return 2.0 * self.cfg.latency.inter_gpu_hop
         return 2.0 * self.cfg.latency.inter_gpm_hop
 
-    def _boundary_l2_invalidate(self, node: NodeId) -> int:
-        return self._bulk_invalidate_l2(node, lambda entry: entry.remote)
-
 
 class HierarchicalSWProtocol(_SoftwareProtocolBase):
     """Scoped software coherence with hierarchical request routing."""
@@ -233,12 +218,9 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
     name = "hsw"
     label = "Hierarchical SW Coherence"
 
-    def _homes(self, line: int, node: NodeId):
-        return self.homes(line, node)
-
     def _may_hit(self, cache_node: NodeId, op: MemOp, ghome: NodeId,
                  syshome: NodeId) -> bool:
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             return True
         if op.scope == Scope.GPU:
             return cache_node in (ghome, syshome)
@@ -252,12 +234,12 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
+        if op.scope is CTA:
             node = op.node
             slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
             hit = slices[op.cta % len(slices)].lookup(line)
             if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+                return AccessOutcome(hit.version, latency, False, "l1")
 
         node = op.node
         nflat = node.gpu * self._gpms_per_gpu + node.gpm
@@ -271,8 +253,8 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             local.stats.misses += 1
         if entry is not None:
             self._l1_fill(op, line, entry.version, remote=op.node != syshome)
-            return AccessOutcome(entry.version, latency,
-                                 hit_level="local_l2")
+            return AccessOutcome(entry.version, latency, False,
+                                 "local_l2")
 
         if op.node == syshome:
             version = self.dram[self.flat(syshome)].read(line)
@@ -280,7 +262,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             victim = local.fill(line, version, remote=False)
             self._handle_l2_victim(op.node, victim)
             self._l1_fill(op, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+            return AccessOutcome(version, latency, False, "dram")
 
         version = None
         level = "dram"
@@ -336,7 +318,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         victim = local.fill(line, version, remote=True)
         self._handle_l2_victim(op.node, victim)
         self._l1_fill(op, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        return AccessOutcome(version, latency, False, level)
 
     # -- stores ----------------------------------------------------------
 
@@ -373,7 +355,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
         line = op.address >> self._line_bits
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             version = self._new_version()
             self._l1_store(op, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
@@ -392,7 +374,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
     # -- synchronization ----------------------------------------------
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
-        if op.scope == Scope.CTA:
+        if op.scope == CTA:
             out = self._load(op)
             out.exposed = True
             return out
@@ -400,31 +382,21 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(
             op.node, op.cta % len(slices)
         )
+        node = op.node
         if op.scope == Scope.GPU:
             # Drop lines whose GPU home is another GPM of this GPU.
-            self._bulk_invalidate_l2(
-                op.node,
-                lambda entry: self._gpu_home_of_line(entry.line, op.node)
-                != op.node,
-            )
+            self._bulk_invalidate_l2(node, self._stale_at_gpu_scope(node))
         else:
             # .sys: drop peer-GPU-homed lines in every L2 of this GPU,
             # plus (in the issuing GPM) lines GPU-homed elsewhere.
-            gpu = op.node.gpu
+            # Inside the owning GPU the GPU home is the system home, so
+            # the issuer drops exactly the lines homed at another GPM:
+            # the ones this protocol's fills mark remote.
             for other_gpm in range(self.cfg.gpms_per_gpu):
-                target = NodeId(gpu, other_gpm)
-
-                def stale(entry, target=target):
-                    owner = self._owner_of_line(entry.line, target)
-                    if owner.gpu != gpu:
-                        return True
-                    return (
-                        target == op.node
-                        and self._gpu_home_of_line(entry.line, op.node)
-                        != op.node
-                    )
-
-                self._bulk_invalidate_l2(target, stale)
+                target = NodeId(node.gpu, other_gpm)
+                self._bulk_invalidate_l2(
+                    target, None if target == node
+                    else self._stale_at_sys_scope(target))
         out = self._load(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
@@ -435,15 +407,29 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             return 2.0 * self.cfg.latency.inter_gpm_hop
         return 2.0 * self.cfg.latency.inter_gpu_hop
 
-    def _boundary_l2_invalidate(self, node: NodeId) -> int:
-        def stale(entry):
-            # A .sys boundary must drop (a) peer-GPU-owned lines — even
-            # at their designated GPU home, since peer-GPU writers make
-            # them stale — and (b) lines GPU-homed at another GPM of
-            # this GPU, which same-GPU writers make stale.
-            owner = self._owner_of_line(entry.line, node)
-            if owner.gpu != node.gpu:
-                return True
-            return self.amap.gpu_home(entry.line, node.gpu, owner) != node
+    # Bulk-invalidation predicates.  Each tests every resident line of
+    # one L2, so it reads the homes() memo directly: it already holds
+    # (GPU home, system home) per (line, GPU).  A line a peer GPU's
+    # request left at its system home may be missing from the memo
+    # under this GPU; homes() fills that in.
 
-        return self._bulk_invalidate_l2(node, stale)
+    def _stale_at_gpu_scope(self, node: NodeId):
+        """A .gpu acquire at ``node`` drops lines GPU-homed elsewhere."""
+        memo, gpu, homes = self._homes_memo, node.gpu, self.homes
+
+        def stale(entry):
+            pair = memo.get((entry.line, gpu)) or homes(entry.line, node)
+            return pair[0] != node
+
+        return stale
+
+    def _stale_at_sys_scope(self, node: NodeId):
+        """A .sys acquire by another GPM of ``node``'s GPU drops
+        ``node``'s peer-GPU-homed lines."""
+        memo, gpu, homes = self._homes_memo, node.gpu, self.homes
+
+        def stale(entry):
+            pair = memo.get((entry.line, gpu)) or homes(entry.line, node)
+            return pair[1].gpu != gpu
+
+        return stale

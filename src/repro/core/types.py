@@ -32,6 +32,13 @@ class Scope(enum.IntEnum):
         return self >= other
 
 
+#: ``Scope.CTA`` as a module global, for the protocols' per-op scope
+#: tests: on Python 3.11 reading a member off an enum class goes through
+#: ``EnumType.__getattr__``'s attribute hook, about 140 ns a read
+#: against 10 ns for a global.
+CTA = Scope.CTA
+
+
 class OpType(enum.IntEnum):
     """Kind of a trace memory operation."""
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import gc
 import time
+from collections.abc import Iterator
 
 from repro.config import SystemConfig
-from repro.core.protocol import CoherenceProtocol, TrafficSink
+from repro.core.protocol import (CoherenceProtocol, MessagePlan,
+                                 TrafficSink)
 from repro.core.types import MsgType, NodeId
 from repro.engine.stats import (
     SimResult,
@@ -47,6 +49,9 @@ class ThroughputSink(TrafficSink):
         self.xbar_bytes = [0] * num_gpus
         self.link_out_bytes = [0] * num_gpus
         self.link_in_bytes = [0] * num_gpus
+        #: MessagePlan -> its ``(gpu, bytes)`` deltas on the crossbar,
+        #: link-out and link-in vectors (see :meth:`charge`).
+        self._routes: dict = {}
 
     def send(self, mtype: MsgType, src: NodeId, dst: NodeId,
              line: int, size_bytes: int) -> None:
@@ -59,6 +64,25 @@ class ThroughputSink(TrafficSink):
         self.link_out_bytes[src.gpu] += size_bytes
         self.link_in_bytes[dst.gpu] += size_bytes
         self.xbar_bytes[dst.gpu] += size_bytes
+
+    def charge(self, plan: MessagePlan) -> None:
+        """Add a plan's per-GPU byte totals, routed once per plan by
+        replaying its messages through :meth:`send` on a scratch sink.
+        Byte counts are integers, so the totals equal the message-by-
+        message sums exactly."""
+        route = self._routes.get(plan)
+        if route is None:
+            scratch = ThroughputSink(len(self.xbar_bytes))
+            TrafficSink.charge(scratch, plan)
+            route = self._routes[plan] = tuple(
+                tuple((gpu, nbytes) for gpu, nbytes in enumerate(vector)
+                      if nbytes)
+                for vector in (scratch.xbar_bytes, scratch.link_out_bytes,
+                               scratch.link_in_bytes))
+        for vector, deltas in zip((self.xbar_bytes, self.link_out_bytes,
+                                   self.link_in_bytes), route):
+            for gpu, nbytes in deltas:
+                vector[gpu] += nbytes
 
 
 class ThroughputEngine:
@@ -100,12 +124,14 @@ class ThroughputEngine:
             )
         tolerance = cfg.timing.latency_tolerance
         stall = [0.0] * cfg.total_gpms
-        ops = 0
         # The per-op loop dominates a run's wall clock; bound lookups
         # are hoisted into locals and the sanitizer branch is lifted out
         # of the loop entirely for plain runs.  Telemetry gets its own
         # loop variant for the same reason: plain runs never test for it.
-        process = protocol.process
+        # Every variant dispatches straight to the protocol's per-kind
+        # handlers: the op counts ``process()`` tallies op by op depend
+        # only on the trace, so they are added once, after the loop.
+        handlers = protocol.handlers()
         gpms_per_gpu = cfg.gpms_per_gpu
         tracer = sampler = None
         if telemetry is not None:
@@ -126,44 +152,50 @@ class ThroughputEngine:
         if gc_was_enabled:
             gc.disable()
         # wall_seconds times the loop alone: a column-form trace builds
-        # its op list here, before the clock starts (one-shot iterators
-        # keep streaming).  A local import, as in the simulator: loading
-        # the trace package while the engines import raised peak RSS.
-        from repro.trace.stream import Trace
+        # its op list and its op summary here, before the clock starts
+        # (a one-shot iterator keeps streaming and is counted as it
+        # goes).  A local import, as in the simulator: loading the trace
+        # package while the engines import raised peak RSS.
+        from repro.trace.stream import OpSummary, Trace
 
         if isinstance(trace, Trace):
+            summary = trace.op_summary()
             trace = trace.ops
+        elif isinstance(trace, Iterator):
+            summary = OpSummary()
+            trace = summary.counting(trace)
+        else:
+            summary = OpSummary.of(trace)
         start = time.perf_counter()
         try:
             if telemetry is not None:
                 has_scope = hasattr(sink, "scope")
-                for op in trace:
-                    tracer.set_time(float(ops))
+                timed = tracer.enabled
+                for index, op in enumerate(trace):
+                    if timed:
+                        tracer.set_time(float(index))
                     if has_scope:
                         sink.scope = op.scope
                     if sampler is not None:
-                        sampler.tick(float(ops))
-                    outcome = process(op)
+                        sampler.tick(float(index))
+                    outcome = handlers[op.op](op)
                     if sanitizer is not None:
-                        sanitizer.after_op(protocol, op, outcome, ops)
-                    ops += 1
+                        sanitizer.after_op(protocol, op, outcome, index)
                     if outcome.exposed:
                         node = op.node
                         flat = node.gpu * gpms_per_gpu + node.gpm
                         stall[flat] += outcome.latency / tolerance
             elif sanitizer is None:
                 for op in trace:
-                    outcome = process(op)
-                    ops += 1
+                    outcome = handlers[op.op](op)
                     if outcome.exposed:
                         node = op.node
                         flat = node.gpu * gpms_per_gpu + node.gpm
                         stall[flat] += outcome.latency / tolerance
             else:
-                for op in trace:
-                    outcome = process(op)
-                    sanitizer.after_op(protocol, op, outcome, ops)
-                    ops += 1
+                for index, op in enumerate(trace):
+                    outcome = handlers[op.op](op)
+                    sanitizer.after_op(protocol, op, outcome, index)
                     if outcome.exposed:
                         node = op.node
                         flat = node.gpu * gpms_per_gpu + node.gpm
@@ -172,6 +204,8 @@ class ThroughputEngine:
             wall_seconds = time.perf_counter() - start
             if gc_was_enabled:
                 gc.enable()
+        protocol.count_ops(summary)
+        ops = summary.total
         if sampler is not None:
             sampler.finish(float(max(ops, 1)))
 

@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="base lease deadline per cell; an expired "
                              "lease is reclaimed and re-dispatched "
-                             "(default 30; jittered 100-150% per cell)")
+                             "(default 30; jittered 100-150%% per cell)")
     parser.add_argument("--lease-size", type=int, default=1, metavar="N",
                         help="cells handed out per lease (default 1)")
     parser.add_argument("--cell-timeout", type=float, default=0.0,

@@ -116,7 +116,9 @@ class SweepServices:
     #: order (the run-level manifest indexes these).
     manifests_written: list = field(default_factory=list)
     manifest_slugs: set = field(default_factory=set)
-    #: ``(cell, memo key)`` of every completed cell, in completion order.
+    #: ``(cell, memo key, result)`` of every completed cell, in
+    #: completion order: what :meth:`ExperimentContext._base` indexes,
+    #: in one record, so clearing the ``results`` memo cannot strand it.
     completed: list = field(default_factory=list)
     #: Functional key -> ``(cell, result)`` of the first completed cell
     #: a missing cell with that key can be derived from; it indexes
@@ -299,9 +301,8 @@ class ExperimentContext:
         a sweep replayed from the store computes no functional key.
         """
         services = self.services
-        for done, done_key in services.completed[services.indexed:]:
+        for done, done_key, result in services.completed[services.indexed:]:
             plan = done.fault_plan
-            result = services.results[done_key]
             if ((plan is None or plan.is_noop)
                     and _engine_of(result) == "throughput"):
                 services.bases.setdefault(_functional_key(done, done_key),
@@ -316,7 +317,7 @@ class ExperimentContext:
         ``derived_from`` is the base a derived cell was rolled up from."""
         services = self.services
         services.results[key] = result
-        services.completed.append((cell, key))
+        services.completed.append((cell, key, result))
         if services.store is not None and not from_store:
             services.store.put(self._store_key(key), result,
                                workload=cell.workload,

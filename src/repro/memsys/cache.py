@@ -188,10 +188,9 @@ class SetAssociativeCache:
         stats.fills += 1
         return victim
 
-    def write(self, line: int, version: int, dirty: bool = False,
-              remote: bool = False) -> Optional[CacheLine]:
-        """Store into the cache (allocate-on-write); same return as fill."""
-        return self.fill(line, version, dirty=dirty, remote=remote)
+    #: Store into the cache (allocate-on-write): a fill, under the name
+    #: the write paths read better with.
+    write = fill
 
     def invalidate(self, line: int) -> Optional[CacheLine]:
         """Drop a single line if present, returning it."""
@@ -220,6 +219,24 @@ class SetAssociativeCache:
             if not cset:
                 continue
             doomed = [ln for ln, entry in cset.items() if predicate(entry)]
+            for ln in doomed:
+                dropped.append(cset.pop(ln))
+        self.stats.invalidated_lines += len(dropped)
+        self.stats.bulk_invalidations += 1
+        return dropped
+
+    def invalidate_remote(self) -> list[CacheLine]:
+        """Bulk-invalidate every remotely-homed line.
+
+        ``invalidate_where(lambda e: e.remote)`` without a Python call
+        per resident line: the software protocols' acquire-time flash
+        invalidation of remote data.
+        """
+        dropped: list[CacheLine] = []
+        for cset in self._sets:
+            if not cset:
+                continue
+            doomed = [ln for ln, entry in cset.items() if entry.remote]
             for ln in doomed:
                 dropped.append(cset.pop(ln))
         self.stats.invalidated_lines += len(dropped)

@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from repro.applog import AppendLog
+from repro.core.protocol import TrafficSink
 from repro.engine.throughput import ThroughputSink
 from repro.telemetry.interval import IntervalSampler
 from repro.telemetry.tracer import NULL_TRACER, ChromeTracer, Tracer
@@ -239,12 +240,13 @@ class TelemetrySession:
         """The tracer to install on a protocol (never ``None``)."""
         return self.tracer if self.tracer is not None else NULL_TRACER
 
-    def tally(self, mtype, scope) -> None:
-        """Count one message under its type and triggering-op scope."""
+    def tally(self, mtype, scope, count: int = 1) -> None:
+        """Count ``count`` messages under their type and triggering-op
+        scope."""
         key = f"{mtype.name}.{scope.name.lower()}" if scope is not None \
             else mtype.name
         counts = self.msg_scope_counts
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + count
 
 
 class TallyingSink(ThroughputSink):
@@ -271,6 +273,18 @@ class TallyingSink(ThroughputSink):
             # appear as zero-duration slices at the op-index clock.
             tracer.message(mtype, src, dst, size_bytes,
                            tracer.now, tracer.now, scope=self.scope)
+
+    def charge(self, plan):
+        """A tracing session sees the plan message by message; without
+        a tracer, the plan's byte totals and per-type counts go in
+        whole (the same tallies, keys first counted in the same
+        order)."""
+        if self.tracer.enabled:
+            TrafficSink.charge(self, plan)
+            return
+        ThroughputSink.charge(self, plan)
+        for mtype, count, _nbytes in plan.totals:
+            self.session.tally(mtype, self.scope, count)
 
 
 # ----------------------------------------------------------------------

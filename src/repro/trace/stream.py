@@ -19,12 +19,52 @@ never builds either form.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.types import MemOp, OpType
+
+
+class OpSummary:
+    """A trace's op tallies: ops per kind (in first-occurrence order,
+    as a protocol counting op by op inserts them) and per issuing node.
+
+    Both depend only on the trace, so the throughput engine adds them
+    to a protocol once per run (``CoherenceProtocol.count_ops``) and a
+    :class:`Trace` takes them once (:meth:`Trace.op_summary`).
+    """
+
+    __slots__ = ("kinds", "nodes")
+
+    def __init__(self):
+        #: OpType -> ops of that kind.
+        self.kinds: dict = {}
+        #: NodeId -> ops that node issues.
+        self.nodes: dict = {}
+
+    @classmethod
+    def of(cls, ops) -> "OpSummary":
+        """Tally a re-iterable op sequence."""
+        summary = cls()
+        summary.kinds = dict(Counter(map(attrgetter("op"), ops)))
+        summary.nodes = dict(Counter(map(attrgetter("node"), ops)))
+        return summary
+
+    def counting(self, ops) -> Iterator[MemOp]:
+        """Yield ``ops`` (a one-shot iterator), tallying each one."""
+        kinds, nodes = self.kinds, self.nodes
+        for op in ops:
+            kinds[op.op] = kinds.get(op.op, 0) + 1
+            nodes[op.node] = nodes.get(op.node, 0) + 1
+            yield op
+
+    @property
+    def total(self) -> int:
+        return sum(self.kinds.values())
 
 
 class Trace:
@@ -48,6 +88,7 @@ class Trace:
         #: by the generator or the cache loader, or memoized by
         #: ``as_batch()``.
         self._batch = batch
+        self._summary = None
 
     @property
     def ops(self) -> list:
@@ -60,6 +101,12 @@ class Trace:
             self._ops = self._batch.to_ops()
             self._batch = None
         return self._ops
+
+    def op_summary(self) -> OpSummary:
+        """The ops' :class:`OpSummary`, taken on first use."""
+        if self._summary is None:
+            self._summary = OpSummary.of(self.ops)
+        return self._summary
 
     def __iter__(self) -> Iterator[MemOp]:
         return iter(self.ops)

@@ -1,5 +1,7 @@
 """Experiment drivers, registry and CLI."""
 
+import argparse
+
 import pytest
 
 from repro.config import SystemConfig
@@ -148,6 +150,32 @@ class TestCLI:
 
     def test_unknown_experiment_exit_code(self, capsys):
         assert main(["fig99"]) == 2
+
+    def test_every_help_formats(self):
+        # argparse %-formats each help string when it renders --help,
+        # so a bare "%" anywhere raises ValueError instead of printing.
+        from repro.experiments.fabric_net import build_worker_parser
+        from repro.experiments.store import build_cli_parser
+        from repro.telemetry import observe, serve
+        from repro.verify import cli as verify_cli
+
+        def walk(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from walk(sub)
+
+        builders = (build_parser, verify_cli.build_parser,
+                    observe.build_parser, observe.build_registry_parser,
+                    build_cli_parser, build_worker_parser,
+                    serve.build_parser)
+        formatted = 0
+        for build in builders:
+            for parser in walk(build()):
+                assert parser.format_help()
+                formatted += 1
+        assert formatted > len(builders)  # subparsers were walked too
 
     def test_runs_table(self, capsys):
         assert main(["hwcost"]) == 0

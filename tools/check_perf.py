@@ -42,7 +42,9 @@ import time
 from pathlib import Path
 
 from repro.config import SystemConfig
+from repro.engine.simulator import simulate
 from repro.experiments.runner import ExperimentContext
+from repro.telemetry.session import TelemetrySession
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -80,6 +82,9 @@ def measure_once(engine: str = "scalar",
     vectorized path falls back to the scalar engine whenever telemetry
     is attached.)
     """
+    # A fresh context per pass: its traces are generated (and their
+    # per-trace memos filled) outside the measurement, and every cell
+    # simulates afresh instead of replaying a memoized result.
     ctx = ExperimentContext(SystemConfig.paper_scaled(SCALE), seed=SEED,
                             ops_scale=OPS_SCALE)
     for workload in WORKLOADS:
@@ -88,24 +93,12 @@ def measure_once(engine: str = "scalar",
     wall = 0.0
     for workload in WORKLOADS:
         for protocol in PROTOCOLS:
-            if engine == "vectorized":
-                from repro.engine.simulator import simulate
-
-                result = simulate(ctx.trace(workload), ctx.cfg,
-                                  protocol=protocol, engine="vectorized",
-                                  workload_name=workload)
-            elif null_telemetry:
-                from repro.engine.simulator import simulate
-                from repro.telemetry.session import TelemetrySession
-
-                result = simulate(ctx.trace(workload), ctx.cfg,
-                                  protocol=protocol,
-                                  workload_name=workload,
-                                  telemetry=TelemetrySession())
-            else:
-                # Fresh simulation every pass: bypass the context memo.
-                ctx._results.clear()
-                result = ctx.run(workload, protocol)
+            result = simulate(
+                ctx.trace(workload), ctx.cfg, protocol=protocol,
+                engine=("vectorized" if engine == "vectorized"
+                        else "throughput"),
+                workload_name=workload,
+                telemetry=TelemetrySession() if null_telemetry else None)
             ops += result.ops
             wall += result.wall_seconds
     return ops / wall
@@ -121,8 +114,6 @@ def measure_scaling(passes: int = SCALING_PASSES) -> float:
     Host speed drifting during a pass therefore slows both sides alike
     instead of skewing the ratio.
     """
-    from repro.engine.simulator import simulate
-
     growths = []
     for k in range(passes):
         ctxs = [ExperimentContext(SystemConfig.paper_scaled(SCALE),
