@@ -7,17 +7,23 @@ load whose system home is a peer GPU, we ask whether some other GPM of
 the issuing GPU also touches that line anywhere in the run.  A high
 percentage is exactly the locality HMG's GPU home nodes convert into
 intra-GPU hits.
+
+The analysis runs on the trace's :class:`~repro.trace.batch.BatchTrace`
+columns, through the bit-identical array twins of the scalar address
+and placement mappings in :mod:`repro.core.batchmap`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.config import SystemConfig
+from repro.core import batchmap
 from repro.core.types import OpType
-from repro.memsys.address import AddressMap
-from repro.memsys.page_table import PageTable, make_placement
-from repro.trace.stream import replayable
+from repro.trace.batch import BatchTrace
+from repro.trace.stream import Trace, replayable
 
 
 @dataclass
@@ -43,47 +49,48 @@ class LocalityReport:
         return self.inter_gpu_loads / self.total_loads
 
 
+def _columns(trace) -> BatchTrace:
+    """``trace`` as columns.  A trace that holds only its ``MemOp``
+    list gets them built on the side, not memoized, so it never ends up
+    holding both forms."""
+    batch = getattr(trace, "_batch", None)
+    if batch is not None:
+        return batch
+    return BatchTrace.from_ops(
+        trace.ops if isinstance(trace, Trace) else replayable(trace))
+
+
 def analyze_locality(trace, cfg: SystemConfig, workload: str = "trace",
                      placement: str = "first_touch") -> LocalityReport:
-    """Run the Fig 3 analysis over a trace.
+    """Run the Fig 3 analysis over a trace (a :class:`Trace`, a
+    ``MemOp`` sequence or a one-shot iterator).
 
-    Two passes: the first replays first-touch placement and records, per
-    line, the set of (gpu, gpm) pairs that access it; the second counts
-    inter-GPU loads and checks each against the per-GPU access sets.
+    Every op but a kernel boundary places its page and marks its GPM in
+    the bitmask of GPMs that access its (GPU, line).  A load or acquire
+    is inter-GPU when its page lives on a peer GPU, and shareable when
+    its (GPU, line) mask holds a GPM other than the issuer.
     """
-    amap = AddressMap.from_config(cfg)
-    table = PageTable(cfg.page_size,
-                      make_placement(placement, cfg.num_gpus,
-                                     cfg.gpms_per_gpu))
-    ops = replayable(trace)
+    batch = _columns(trace)
+    G = cfg.gpms_per_gpu
+    kb = int(OpType.KERNEL_BOUNDARY)
+    placed = batch.kind != kb
+    kinds = batch.kind[placed]
+    gpus, gpms = batch.gpu[placed], batch.gpm[placed]
+    lines = batchmap.lines_of(batch.address[placed],
+                              cfg.line_size.bit_length() - 1)
+    pages = batchmap.pages_of_lines(lines, cfg.lines_per_page)
+    upages, owners = batchmap.placement_owners(
+        placement, pages, gpus * G + gpms, kinds, kb, cfg.num_gpus, G)
+    home_gpu = batchmap.owners_of_pages(upages, owners, pages) // G
 
-    # Pass 1: placement + access sets (bitmask of GPMs per (gpu, line)).
-    accessors: dict = {}
-    owners: dict = {}
-    for op in ops:
-        if op.op == OpType.KERNEL_BOUNDARY:
-            continue
-        line = amap.line_of(op.address)
-        if line not in owners:
-            owners[line] = table.owner_of_page(
-                amap.page_of_line(line), op.node
-            )
-        key = (op.node.gpu, line)
-        accessors[key] = accessors.get(key, 0) | (1 << op.node.gpm)
+    # Bitmask of the GPMs that access each (GPU, line).
+    bits = np.left_shift(1, gpms)
+    keys, slot = np.unique(lines * cfg.num_gpus + gpus, return_inverse=True)
+    masks = np.zeros(keys.size, np.int64)
+    np.bitwise_or.at(masks, slot, bits)
 
-    # Pass 2: classify inter-GPU loads.
-    inter = 0
-    shareable = 0
-    total_loads = 0
-    for op in ops:
-        if op.op not in (OpType.LOAD, OpType.ACQUIRE):
-            continue
-        total_loads += 1
-        line = amap.line_of(op.address)
-        if owners[line].gpu == op.node.gpu:
-            continue
-        inter += 1
-        mask = accessors[(op.node.gpu, line)]
-        if mask & ~(1 << op.node.gpm):
-            shareable += 1
-    return LocalityReport(workload, inter, shareable, total_loads)
+    loads = (kinds == int(OpType.LOAD)) | (kinds == int(OpType.ACQUIRE))
+    inter = loads & (home_gpu != gpus)
+    shareable = np.count_nonzero(masks[slot[inter]] & ~bits[inter])
+    return LocalityReport(workload, int(np.count_nonzero(inter)),
+                          int(shareable), int(np.count_nonzero(loads)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.core.directory import DirectoryEntry, Sharer
 from repro.core.nhcc import NHCCProtocol
 from repro.core.protocol import AccessOutcome
-from repro.core.types import MemOp, MsgType, NodeId
+from repro.core.types import INV_ACK, MemOp, NodeId
 
 
 class GPUVIProtocol(NHCCProtocol):
@@ -56,7 +56,7 @@ class GPUVIProtocol(NHCCProtocol):
             target = self._node_of_sharer(sharer)
             if target == home:
                 continue
-            self.send(MsgType.INV_ACK, target, home)
+            self.send(INV_ACK, target, home)
             farthest = max(farthest, float(self.rtt(home, target)))
         self._pending_ack_latency = max(self._pending_ack_latency,
                                         farthest)

@@ -17,7 +17,10 @@ from __future__ import annotations
 from repro.core.directory import DirectoryEntry, Sharer
 from repro.core.protocol import (AccessOutcome, CoherenceProtocol,
                                  MessagePlan)
-from repro.core.types import CTA, MemOp, MsgType, NodeId, Scope
+from repro.core.types import (
+    ATOMIC_RESP, CTA, DATA_RESP, GPU, INVALIDATION, LOAD_REQ, RELEASE_ACK,
+    RELEASE_FENCE, STORE_REQ, SYS, MemOp, NodeId, Scope,
+)
 
 
 class HMGProtocol(CoherenceProtocol):
@@ -44,7 +47,7 @@ class HMGProtocol(CoherenceProtocol):
         node, which drops its own copy and forwards to its GPM sharers
         (Table I, the HMG-only transition)."""
         ghome = NodeId(gpu, self.amap.home_gpm_of_sector(sector))
-        self.send(MsgType.INVALIDATION, home, ghome, sector)
+        self.send(INVALIDATION, home, ghome, sector)
         dropped = self._drop_sector_lines(ghome, sector)
         directory = self.dirs[self.flat(ghome)]
         entry = directory.lookup(sector, touch=False)
@@ -53,7 +56,7 @@ class HMGProtocol(CoherenceProtocol):
             for sharer in sorted(entry.sharers):
                 # Entries at a non-owner GPU home only track local GPMs.
                 target = NodeId(gpu, sharer.index)
-                self.send(MsgType.INVALIDATION, ghome, target, sector)
+                self.send(INVALIDATION, ghome, target, sector)
                 dropped += self._drop_sector_lines(target, sector)
                 forwarded += 1
             directory.invalidate(sector)
@@ -75,7 +78,7 @@ class HMGProtocol(CoherenceProtocol):
                 target = NodeId(home.gpu, sharer.index)
                 if target == home:
                     continue
-                self.send(MsgType.INVALIDATION, home, target, entry.sector)
+                self.send(INVALIDATION, home, target, entry.sector)
                 dropped += self._drop_sector_lines(target, entry.sector)
                 fanned += 1
             else:
@@ -107,7 +110,7 @@ class HMGProtocol(CoherenceProtocol):
         """Scope-dependent hit permission (Section V-B, "Loads")."""
         if op.scope == CTA:
             return True
-        if op.scope == Scope.GPU:
+        if op.scope == GPU:
             return cache_node in (ghome, syshome)
         return cache_node == syshome
 
@@ -158,7 +161,7 @@ class HMGProtocol(CoherenceProtocol):
         level = "dram"
         sector = self.amap.sector_of_line(line)
         if op.node != ghome:
-            self.send(MsgType.LOAD_REQ, op.node, ghome, line)
+            self.send(LOAD_REQ, op.node, ghome, line)
             latency += 2 * self.hop_latency(op.node, ghome)
             self._l2_touch(ghome, self._line_size)
             latency += self._l2_hit_lat
@@ -180,7 +183,7 @@ class HMGProtocol(CoherenceProtocol):
             # Forward to the system home; only the GPU id crosses.
             self.stats.remote_gpu_loads += 1
             src = ghome
-            self.send(MsgType.LOAD_REQ, src, syshome, line)
+            self.send(LOAD_REQ, src, syshome, line)
             latency += 2 * self.hop_latency(src, syshome)
             self._l2_touch(syshome, self._line_size)
             latency += self._l2_hit_lat
@@ -197,7 +200,7 @@ class HMGProtocol(CoherenceProtocol):
                 self._handle_l2_victim(syshome, svictim)
             dentry = self._dir_allocate(syshome, sector)
             dentry.add(Sharer.gpu(op.node.gpu))
-            self.send(MsgType.DATA_RESP, syshome, src, line)
+            self.send(DATA_RESP, syshome, src, line)
             # Response fills the GPU home on its way back (Fig 6b).
             if op.node != ghome:
                 gvictim = self.l2[self.flat(ghome)].fill(
@@ -216,7 +219,7 @@ class HMGProtocol(CoherenceProtocol):
             self._handle_l2_victim(syshome, svictim)
 
         if op.node != ghome:
-            self.send(MsgType.DATA_RESP, ghome, op.node, line)
+            self.send(DATA_RESP, ghome, op.node, line)
 
         victim = local.fill(line, version, remote=True)
         self._handle_l2_victim(op.node, victim)
@@ -272,7 +275,7 @@ class HMGProtocol(CoherenceProtocol):
 
         # Layer 1: the GPU home node of the issuing GPU.
         if op.node != ghome:
-            self.send(MsgType.STORE_REQ, op.node, ghome, line,
+            self.send(STORE_REQ, op.node, ghome, line,
                       payload=payload)
             latency += self.hop_latency(op.node, ghome)
             gl2 = self.l2[self.flat(ghome)]
@@ -285,7 +288,7 @@ class HMGProtocol(CoherenceProtocol):
 
         # Layer 2: the system home node, if it lives on another GPU.
         if ghome != syshome:
-            self.send(MsgType.STORE_REQ, ghome, syshome, line,
+            self.send(STORE_REQ, ghome, syshome, line,
                       payload=payload)
             latency += self.hop_latency(ghome, syshome)
             self._home_store(syshome, line, version, payload)
@@ -310,10 +313,10 @@ class HMGProtocol(CoherenceProtocol):
         ghome, syshome = self.homes(line, op.node)
         # The atomic executes at the home node for its scope and is then
         # written through to subsequent levels like a store.
-        target = ghome if op.scope == Scope.GPU else syshome
+        target = ghome if op.scope == GPU else syshome
         out = self._store(op)
         if op.node != target:
-            self.send(MsgType.ATOMIC_RESP, target, op.node, line)
+            self.send(ATOMIC_RESP, target, op.node, line)
         latency = self._l2_hit_lat + self.rtt(op.node, target)
         return AccessOutcome(self._next_version - 1, latency, exposed=False)
 
@@ -350,25 +353,24 @@ class HMGProtocol(CoherenceProtocol):
             other = NodeId(node.gpu, gpm)
             if other == node:
                 continue
-            messages.append(message(MsgType.RELEASE_FENCE, node, other))
-            messages.append(message(MsgType.RELEASE_ACK, other, node))
+            messages.append(message(RELEASE_FENCE, node, other))
+            messages.append(message(RELEASE_ACK, other, node))
             farthest = max(farthest, self.rtt(node, other))
-        if scope == Scope.SYS:
+        if scope == SYS:
             for gpu in range(self.cfg.num_gpus):
                 if gpu == node.gpu:
                     continue
                 peer = NodeId(gpu, node.gpm)
-                messages.append(message(MsgType.RELEASE_FENCE, node, peer))
+                messages.append(message(RELEASE_FENCE, node, peer))
                 farthest = max(farthest, self.rtt(node, peer))
                 # The peer GPU home fences its own GPMs before acking.
                 for gpm in range(self.cfg.gpms_per_gpu):
                     inner = NodeId(gpu, gpm)
                     if inner == peer:
                         continue
-                    messages.append(
-                        message(MsgType.RELEASE_FENCE, peer, inner))
-                    messages.append(message(MsgType.RELEASE_ACK, inner, peer))
-                messages.append(message(MsgType.RELEASE_ACK, peer, node))
+                    messages.append(message(RELEASE_FENCE, peer, inner))
+                    messages.append(message(RELEASE_ACK, inner, peer))
+                messages.append(message(RELEASE_ACK, peer, node))
         return MessagePlan(messages, float(farthest))
 
     def _release(self, op: MemOp) -> AccessOutcome:
@@ -380,7 +382,7 @@ class HMGProtocol(CoherenceProtocol):
         return AccessOutcome(0, out.latency + fence_latency, exposed=True)
 
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
-        fence_latency = self._release_fence(op.node, Scope.SYS)
+        fence_latency = self._release_fence(op.node, SYS)
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(op.node)
         latency = fence_latency + self.cfg.timing.bulk_invalidate_cycles
         return AccessOutcome(0, latency, exposed=True)

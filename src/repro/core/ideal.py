@@ -14,7 +14,7 @@ exactly this definition.
 from __future__ import annotations
 
 from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import CTA, MemOp, MsgType, NodeId
+from repro.core.types import CTA, DATA_RESP, LOAD_REQ, STORE_REQ, MemOp, NodeId
 
 
 class IdealProtocol(CoherenceProtocol):
@@ -100,7 +100,7 @@ class IdealProtocol(CoherenceProtocol):
         version = None
         level = "dram"
         if op.node != ghome:
-            self.send(MsgType.LOAD_REQ, op.node, ghome, line)
+            self.send(LOAD_REQ, op.node, ghome, line)
             latency += 2 * self.hop_latency(op.node, ghome)
             self._l2_touch(ghome, self._line_size)
             latency += self._l2_hit_lat
@@ -111,7 +111,7 @@ class IdealProtocol(CoherenceProtocol):
 
         if version is None and ghome != syshome:
             self.stats.remote_gpu_loads += 1
-            self.send(MsgType.LOAD_REQ, ghome, syshome, line)
+            self.send(LOAD_REQ, ghome, syshome, line)
             latency += 2 * self.hop_latency(ghome, syshome)
             self._l2_touch(syshome, self._line_size)
             latency += self._l2_hit_lat
@@ -126,7 +126,7 @@ class IdealProtocol(CoherenceProtocol):
                 svictim = sl2.fill(line, version, remote=False)
                 self._track(sl2, line)
                 self._handle_l2_victim(syshome, svictim)
-            self.send(MsgType.DATA_RESP, syshome, ghome, line)
+            self.send(DATA_RESP, syshome, ghome, line)
             if op.node != ghome:
                 gl2 = self.l2[self.flat(ghome)]
                 gvictim = gl2.fill(line, version, remote=True)
@@ -142,7 +142,7 @@ class IdealProtocol(CoherenceProtocol):
             self._handle_l2_victim(syshome, svictim)
 
         if op.node != ghome:
-            self.send(MsgType.DATA_RESP, ghome, op.node, line)
+            self.send(DATA_RESP, ghome, op.node, line)
         victim = local.fill(line, version, remote=True)
         self._track(local, line)
         self._handle_l2_victim(op.node, victim)
@@ -170,7 +170,7 @@ class IdealProtocol(CoherenceProtocol):
         self._handle_l2_victim(op.node, victim)
 
         if op.node != ghome:
-            self.send(MsgType.STORE_REQ, op.node, ghome, line, payload=payload)
+            self.send(STORE_REQ, op.node, ghome, line, payload=payload)
             gl2 = self.l2[self.flat(ghome)]
             gvictim = gl2.write(
                 line, version, dirty=ghome == syshome,
@@ -180,7 +180,7 @@ class IdealProtocol(CoherenceProtocol):
             self._handle_l2_victim(ghome, gvictim)
             self._l2_touch(ghome, payload)
         if ghome != syshome:
-            self.send(MsgType.STORE_REQ, ghome, syshome, line, payload=payload)
+            self.send(STORE_REQ, ghome, syshome, line, payload=payload)
             self._home_store(syshome, line, version, payload)
         return AccessOutcome(0, latency)
 

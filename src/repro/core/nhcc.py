@@ -16,7 +16,11 @@ from __future__ import annotations
 from repro.core.directory import DirectoryEntry, Sharer
 from repro.core.protocol import (AccessOutcome, CoherenceProtocol,
                                  MessagePlan)
-from repro.core.types import CTA, MemOp, MsgType, NodeId, Scope
+from repro.core.types import (
+    ATOMIC_REQ, ATOMIC_RESP, CTA, DATA_RESP, DOWNGRADE, INVALIDATION,
+    LOAD_REQ, RELEASE_ACK, RELEASE_FENCE, STORE_REQ, SYS, MemOp, NodeId,
+    Scope,
+)
 
 
 class NHCCProtocol(CoherenceProtocol):
@@ -61,7 +65,7 @@ class NHCCProtocol(CoherenceProtocol):
             target = self._node_of_sharer(sharer)
             if target == home:
                 continue
-            self.send(MsgType.INVALIDATION, home, target, entry.sector)
+            self.send(INVALIDATION, home, target, entry.sector)
             dropped += self._drop_sector_lines(target, entry.sector)
             fanned += 1
         if cause == "store":
@@ -90,7 +94,7 @@ class NHCCProtocol(CoherenceProtocol):
             home = self.sys_home(victim.line, node)
             if home == node:
                 return
-            self.send(MsgType.DOWNGRADE, node, home, victim.line)
+            self.send(DOWNGRADE, node, home, victim.line)
             entry = self.dirs[self.flat(home)].lookup(
                 self.amap.sector_of_line(victim.line), touch=False
             )
@@ -145,7 +149,7 @@ class NHCCProtocol(CoherenceProtocol):
         # Remote request to the home node.
         if home.gpu != op.node.gpu:
             self.stats.remote_gpu_loads += 1
-        self.send(MsgType.LOAD_REQ, op.node, home, line)
+        self.send(LOAD_REQ, op.node, home, line)
         latency += 2 * self.hop_latency(op.node, home)
         home_l2 = self.l2[self.flat(home)]
         self._l2_touch(home, self._line_size)
@@ -165,7 +169,7 @@ class NHCCProtocol(CoherenceProtocol):
         entry = self._dir_allocate(home, self.amap.sector_of_line(line))
         entry.add(self._sharer_of(op.node))
 
-        self.send(MsgType.DATA_RESP, home, op.node, line)
+        self.send(DATA_RESP, home, op.node, line)
         victim = local.fill(line, version, remote=True)
         self._handle_l2_victim(op.node, victim)
         self._l2_touch(op.node, self._line_size)
@@ -206,7 +210,7 @@ class NHCCProtocol(CoherenceProtocol):
         else:
             # Write-through travels to the home node.
             payload = min(op.size, self._line_size)
-            self.send(MsgType.STORE_REQ, op.node, home, line, payload=payload)
+            self.send(STORE_REQ, op.node, home, line, payload=payload)
             latency += self.hop_latency(op.node, home)
             self._home_store(home, line, version, payload)
             # Table I, remote store: add sender, inv other sharers.
@@ -232,7 +236,7 @@ class NHCCProtocol(CoherenceProtocol):
         latency = self._l2_hit_lat
         sector = self.amap.sector_of_line(line)
         if op.node != home:
-            self.send(MsgType.ATOMIC_REQ, op.node, home, line, payload=16)
+            self.send(ATOMIC_REQ, op.node, home, line, payload=16)
             latency += self.rtt(op.node, home)
         self._home_store(home, line, version, self._line_size)
         directory = self.dirs[self.flat(home)]
@@ -250,7 +254,7 @@ class NHCCProtocol(CoherenceProtocol):
                 self.stats.stores_on_shared += 1
                 self._inv_sharers(home, entry, keep=me, cause="store")
             entry.sharers = {me}
-            self.send(MsgType.ATOMIC_RESP, home, op.node, line)
+            self.send(ATOMIC_RESP, home, op.node, line)
             # The result is cached by the requester as a store would be.
             victim = self.l2[self.flat(op.node)].write(
                 line, version, remote=True
@@ -290,8 +294,8 @@ class NHCCProtocol(CoherenceProtocol):
         for other in self.all_nodes():
             if other == node:
                 continue
-            messages.append(self._message(MsgType.RELEASE_FENCE, node, other))
-            messages.append(self._message(MsgType.RELEASE_ACK, other, node))
+            messages.append(self._message(RELEASE_FENCE, node, other))
+            messages.append(self._message(RELEASE_ACK, other, node))
             farthest = max(farthest, self.rtt(node, other))
         return MessagePlan(messages, float(farthest))
 
@@ -306,7 +310,7 @@ class NHCCProtocol(CoherenceProtocol):
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
         # Implicit .sys release + acquire: flush fence plus full L1
         # invalidation; the hardware-coherent L2s are left intact.
-        fence_latency = self._release_fence(op.node, Scope.SYS)
+        fence_latency = self._release_fence(op.node, SYS)
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(op.node)
         latency = fence_latency + self.cfg.timing.bulk_invalidate_cycles
         return AccessOutcome(0, latency, exposed=True)

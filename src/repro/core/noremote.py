@@ -12,7 +12,10 @@ of intra-GPU remote lines at synchronization points).
 from __future__ import annotations
 
 from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import CTA, MemOp, MsgType, NodeId
+from repro.core.types import (
+    ATOMIC_REQ, ATOMIC_RESP, CTA, DATA_RESP, LOAD_REQ, STORE_REQ, MemOp,
+    NodeId,
+)
 
 
 class NoRemoteCachingProtocol(CoherenceProtocol):
@@ -67,7 +70,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
 
         if home.gpu != op.node.gpu:
             self.stats.remote_gpu_loads += 1
-        self.send(MsgType.LOAD_REQ, op.node, home, line)
+        self.send(LOAD_REQ, op.node, home, line)
         latency += 2 * self.hop_latency(op.node, home)
         home_l2 = self.l2[self.flat(home)]
         self._l2_touch(home, self._line_size)
@@ -82,7 +85,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         else:
             version = hentry.version
             level = "home_l2"
-        self.send(MsgType.DATA_RESP, home, op.node, line)
+        self.send(DATA_RESP, home, op.node, line)
         if cacheable:
             victim = local.fill(line, version, remote=True)
             self._handle_l2_victim(op.node, victim)
@@ -110,7 +113,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
             latency += self._l2_hit_lat
 
         if op.node != home:
-            self.send(MsgType.STORE_REQ, op.node, home, line, payload=payload)
+            self.send(STORE_REQ, op.node, home, line, payload=payload)
             latency += self.hop_latency(op.node, home)
             self._home_store(home, line, version, payload)
         return AccessOutcome(0, latency)
@@ -126,8 +129,8 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         version = self._new_version()
         latency = self._l2_hit_lat
         if op.node != home:
-            self.send(MsgType.ATOMIC_REQ, op.node, home, line, payload=16)
-            self.send(MsgType.ATOMIC_RESP, home, op.node, line)
+            self.send(ATOMIC_REQ, op.node, home, line, payload=16)
+            self.send(ATOMIC_RESP, home, op.node, line)
             latency += self.rtt(op.node, home)
         self._home_store(home, line, version, self._line_size)
         return AccessOutcome(version, latency, exposed=False)

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
 from repro.core.directory import CoherenceDirectory
-from repro.core.types import CTA, MemOp, MsgType, NodeId, OpType, Scope
+from repro.core.types import (
+    CTA, SYS, WRITEBACK, MemOp, MsgType, NodeId, OpType, Scope,
+)
 from repro.memsys.address import AddressMap
 from repro.memsys.cache import CacheLine, SetAssociativeCache
 from repro.memsys.dram import DramPartition
@@ -492,7 +494,7 @@ class CoherenceProtocol(abc.ABC):
         if victim.dirty:
             home = self.sys_home(victim.line, node)
             if home != node:
-                self.send(MsgType.WRITEBACK, node, home, victim.line)
+                self.send(WRITEBACK, node, home, victim.line)
             self.dram[self.flat(home)].write(victim.line, victim.version)
 
     # ------------------------------------------------------------------
@@ -570,8 +572,8 @@ class CoherenceProtocol(abc.ABC):
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
         """Implicit .sys release + acquire for one GPM (bulk-synchronous
         kernel dependency).  Subclasses refine the invalidation part."""
-        rel = self._release(op.with_scope(Scope.SYS))
-        acq = self._acquire(op.with_scope(Scope.SYS))
+        rel = self._release(op.with_scope(SYS))
+        acq = self._acquire(op.with_scope(SYS))
         return AccessOutcome(
             latency=rel.latency + acq.latency, exposed=True
         )

@@ -22,7 +22,10 @@ drain.
 from __future__ import annotations
 
 from repro.core.protocol import AccessOutcome, CoherenceProtocol
-from repro.core.types import CTA, MemOp, MsgType, NodeId, Scope
+from repro.core.types import (
+    ATOMIC_REQ, ATOMIC_RESP, CTA, DATA_RESP, GPU, LOAD_REQ, STORE_REQ, SYS,
+    MemOp, NodeId,
+)
 
 
 class _SoftwareProtocolBase(CoherenceProtocol):
@@ -66,7 +69,7 @@ class _SoftwareProtocolBase(CoherenceProtocol):
                              exposed=True)
 
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
-        stall = self._release_stall(op.with_scope(Scope.SYS))
+        stall = self._release_stall(op.with_scope(SYS))
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(op.node)
         # A .sys boundary drops every remotely-homed line of the L2: the
         # flat protocol's acquire action, and hsw's .sys sweep of the
@@ -121,7 +124,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
 
         if home.gpu != op.node.gpu:
             self.stats.remote_gpu_loads += 1
-        self.send(MsgType.LOAD_REQ, op.node, home, line)
+        self.send(LOAD_REQ, op.node, home, line)
         latency += 2 * self.hop_latency(op.node, home)
         home_l2 = self.l2[self.flat(home)]
         self._l2_touch(home, self._line_size)
@@ -136,7 +139,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         else:
             version = hentry.version
             level = "home_l2"
-        self.send(MsgType.DATA_RESP, home, op.node, line)
+        self.send(DATA_RESP, home, op.node, line)
         victim = local.fill(line, version, remote=True)
         self._handle_l2_victim(op.node, victim)
         self._l1_fill(op, line, version, remote=True)
@@ -162,7 +165,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         self._handle_l2_victim(op.node, victim)
 
         if op.node != home:
-            self.send(MsgType.STORE_REQ, op.node, home, line, payload=payload)
+            self.send(STORE_REQ, op.node, home, line, payload=payload)
             latency += self.hop_latency(op.node, home)
             self._home_store(home, line, version, payload)
         return AccessOutcome(0, latency)
@@ -180,8 +183,8 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         version = self._new_version()
         latency = self._l2_hit_lat
         if op.node != home:
-            self.send(MsgType.ATOMIC_REQ, op.node, home, line, payload=16)
-            self.send(MsgType.ATOMIC_RESP, home, op.node, line)
+            self.send(ATOMIC_REQ, op.node, home, line, payload=16)
+            self.send(ATOMIC_RESP, home, op.node, line)
             latency += self.rtt(op.node, home)
         self._home_store(home, line, version, self._line_size)
         return AccessOutcome(version, latency, exposed=False)
@@ -222,7 +225,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
                  syshome: NodeId) -> bool:
         if op.scope == CTA:
             return True
-        if op.scope == Scope.GPU:
+        if op.scope == GPU:
             return cache_node in (ghome, syshome)
         return cache_node == syshome
 
@@ -267,7 +270,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         version = None
         level = "dram"
         if op.node != ghome:
-            self.send(MsgType.LOAD_REQ, op.node, ghome, line)
+            self.send(LOAD_REQ, op.node, ghome, line)
             latency += 2 * self.hop_latency(op.node, ghome)
             self._l2_touch(ghome, self._line_size)
             latency += self._l2_hit_lat
@@ -283,7 +286,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
 
         if version is None and ghome != syshome:
             self.stats.remote_gpu_loads += 1
-            self.send(MsgType.LOAD_REQ, ghome, syshome, line)
+            self.send(LOAD_REQ, ghome, syshome, line)
             latency += 2 * self.hop_latency(ghome, syshome)
             self._l2_touch(syshome, self._line_size)
             latency += self._l2_hit_lat
@@ -298,7 +301,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
                     line, version, remote=False
                 )
                 self._handle_l2_victim(syshome, svictim)
-            self.send(MsgType.DATA_RESP, syshome, ghome, line)
+            self.send(DATA_RESP, syshome, ghome, line)
             if op.node != ghome:
                 gvictim = self.l2[self.flat(ghome)].fill(
                     line, version, remote=True
@@ -314,7 +317,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             self._handle_l2_victim(syshome, svictim)
 
         if op.node != ghome:
-            self.send(MsgType.DATA_RESP, ghome, op.node, line)
+            self.send(DATA_RESP, ghome, op.node, line)
         victim = local.fill(line, version, remote=True)
         self._handle_l2_victim(op.node, victim)
         self._l1_fill(op, line, version, remote=True)
@@ -340,7 +343,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         self._handle_l2_victim(op.node, victim)
 
         if op.node != ghome:
-            self.send(MsgType.STORE_REQ, op.node, ghome, line, payload=payload)
+            self.send(STORE_REQ, op.node, ghome, line, payload=payload)
             latency += self.hop_latency(op.node, ghome)
             gl2 = self.l2[self.flat(ghome)]
             self._l2_touch(ghome, payload)
@@ -348,7 +351,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
                                 remote=ghome != syshome)
             self._handle_l2_victim(ghome, gvictim)
         if ghome != syshome:
-            self.send(MsgType.STORE_REQ, ghome, syshome, line, payload=payload)
+            self.send(STORE_REQ, ghome, syshome, line, payload=payload)
             latency += self.hop_latency(ghome, syshome)
             self._home_store(syshome, line, version, payload)
         return AccessOutcome(0, latency)
@@ -364,10 +367,10 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         # Hierarchical software coherence performs the atomic at the
         # home node for its scope: the GPU home is the .gpu coherence
         # point because all stores write through it.
-        target = ghome if op.scope == Scope.GPU else syshome
+        target = ghome if op.scope == GPU else syshome
         out = self._store(op)
         if op.node != target:
-            self.send(MsgType.ATOMIC_RESP, target, op.node, line)
+            self.send(ATOMIC_RESP, target, op.node, line)
         latency = self._l2_hit_lat + self.rtt(op.node, target)
         return AccessOutcome(self._next_version - 1, latency, exposed=False)
 
@@ -383,7 +386,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             op.node, op.cta % len(slices)
         )
         node = op.node
-        if op.scope == Scope.GPU:
+        if op.scope == GPU:
             # Drop lines whose GPU home is another GPM of this GPU.
             self._bulk_invalidate_l2(node, self._stale_at_gpu_scope(node))
         else:
@@ -403,7 +406,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         return out
 
     def _release_stall(self, op: MemOp) -> float:
-        if op.scope == Scope.GPU or self.cfg.num_gpus == 1:
+        if op.scope == GPU or self.cfg.num_gpus == 1:
             return 2.0 * self.cfg.latency.inter_gpm_hop
         return 2.0 * self.cfg.latency.inter_gpu_hop
 

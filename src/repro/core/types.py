@@ -32,11 +32,11 @@ class Scope(enum.IntEnum):
         return self >= other
 
 
-#: ``Scope.CTA`` as a module global, for the protocols' per-op scope
+#: ``Scope`` members as module globals, for the protocols' per-op scope
 #: tests: on Python 3.11 reading a member off an enum class goes through
 #: ``EnumType.__getattr__``'s attribute hook, about 140 ns a read
 #: against 10 ns for a global.
-CTA = Scope.CTA
+CTA, GPU, SYS = Scope.CTA, Scope.GPU, Scope.SYS
 
 
 class OpType(enum.IntEnum):
@@ -96,6 +96,21 @@ class MsgType(enum.IntEnum):
             MsgType.WRITEBACK,
             MsgType.ATOMIC_REQ,
         )
+
+
+#: ``MsgType`` members as module globals, for the protocols' ``send``
+#: call sites (the same enum attribute hook as :data:`CTA`).
+LOAD_REQ = MsgType.LOAD_REQ
+STORE_REQ = MsgType.STORE_REQ
+ATOMIC_REQ = MsgType.ATOMIC_REQ
+DATA_RESP = MsgType.DATA_RESP
+ATOMIC_RESP = MsgType.ATOMIC_RESP
+INVALIDATION = MsgType.INVALIDATION
+RELEASE_FENCE = MsgType.RELEASE_FENCE
+RELEASE_ACK = MsgType.RELEASE_ACK
+DOWNGRADE = MsgType.DOWNGRADE
+WRITEBACK = MsgType.WRITEBACK
+INV_ACK = MsgType.INV_ACK
 
 
 class NodeId(NamedTuple):

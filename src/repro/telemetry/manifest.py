@@ -15,6 +15,12 @@ trajectory is captured per cell without poisoning the deterministic
 artifact set.  A cell rolled up from a base cell's result rather than
 simulated (:func:`repro.engine.stats.derive`) spent no loop time; its
 sidecar names the base's slug under ``derived_from`` instead.
+
+Every file here goes through :func:`write_json`, which leaves a file
+whose content would not change untouched.  A rerun replayed from the
+results store therefore rewrites only the sidecars of the cells the
+previous run simulated or derived (a replay's sidecar records
+``wall_seconds`` 0.0), and the rerun after it rewrites nothing.
 """
 
 from __future__ import annotations
@@ -122,10 +128,23 @@ def perf_sidecar(result: SimResult, derived_from: str = None) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    """Canonical serialization: sorted keys, 2-space indent, newline."""
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    """Canonical serialization: sorted keys, 2-space indent, newline.
+
+    Writes only when the content changes: a file that parses to the
+    same content is left untouched, so a warm rerun re-records nothing.
+    Both sides are compared as compact sorted-key JSON (C encoder), so
+    the check is type-exact (``1`` against ``1.0`` still rewrites); an
+    absent or unparseable (torn) file is written.
+    """
+    path = Path(path)
+    compact = json.dumps(payload, sort_keys=True)
+    try:
+        if json.dumps(json.loads(path.read_bytes()),
+                      sort_keys=True) == compact:
+            return
+    except (OSError, ValueError):
+        pass
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_cell_artifacts(out_dir, result: SimResult, *, workload: str,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.config import SystemConfig
 from repro.engine.simulator import simulate
 from repro.experiments.runner import ExperimentContext
 from repro.telemetry.interval import IntervalSampler, read_jsonl
+from repro.telemetry.manifest import write_json
 from repro.telemetry.progress import SweepProgress
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.tracer import NULL_TRACER, NullTracer
@@ -256,6 +258,115 @@ class TestManifests:
                 (out / f"{slug}.metrics.json").read_text())
             platforms.add(manifest["platform"]["num_gpus"])
         assert 1 in platforms
+
+
+#: An mtime no write can produce: set before a write, it shows whether
+#: the write touched the file.
+OLD_NS = 1_000_000_000
+
+
+def _stamp(path):
+    os.utime(path, ns=(OLD_NS, OLD_NS))
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
+
+
+class TestWriteOnChange:
+    PAYLOAD = {"schema": 1, "b": [1, 2.5, None], "a": {"z": True, "y": 1}}
+
+    @staticmethod
+    def canonical(payload):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_unchanged_payload_leaves_file_untouched(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, self.PAYLOAD)
+        before = _stamp(path)
+        # Same content, built in another key order.
+        write_json(path, {"a": {"y": 1, "z": True}, "b": (1, 2.5, None),
+                          "schema": 1})
+        st = path.stat()
+        assert (st.st_ino, st.st_mtime_ns) == before
+        assert path.read_text() == self.canonical(self.PAYLOAD)
+
+    @pytest.mark.parametrize("change", ["value", "int_to_float"])
+    def test_changed_payload_is_written(self, tmp_path, change):
+        path = tmp_path / "m.json"
+        write_json(path, self.PAYLOAD)
+        _stamp(path)
+        if change == "value":
+            payload = {**self.PAYLOAD, "schema": 2}
+        else:  # equal as Python values, but not the same JSON
+            payload = {**self.PAYLOAD, "a": {"z": True, "y": 1.0}}
+        write_json(path, payload)
+        assert path.stat().st_mtime_ns != OLD_NS
+        assert path.read_text() == self.canonical(payload)
+
+    @pytest.mark.parametrize("old", [b"", b'{"schema": 1, "a": {"z": tr',
+                                     b"not json", b"\xff\xfe\x00"])
+    def test_torn_or_invalid_file_is_written(self, tmp_path, old):
+        path = tmp_path / "m.json"
+        path.write_bytes(old)
+        write_json(path, self.PAYLOAD)
+        assert path.read_text() == self.canonical(self.PAYLOAD)
+
+    def test_absent_file_is_written(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, self.PAYLOAD)
+        assert path.read_text() == self.canonical(self.PAYLOAD)
+
+
+class TestWarmRerun:
+    """A rerun replayed from the store re-records nothing it already
+    recorded: manifests and run.json stay untouched, and only the perf
+    sidecars change, once, to the replay record."""
+
+    ARGS = ["fig8", "fig12", "faults", "--quick", "--workloads", "CoMD",
+            "mst", "--no-registry"]
+
+    def _run(self, tmp_path, capsys, *extra):
+        from repro.experiments import cli
+
+        assert cli.main([*self.ARGS, "--store", str(tmp_path / "S"),
+                         "--telemetry", str(tmp_path / "T"), *extra]) == 0
+        out = capsys.readouterr().out
+        # Drop the wall-clock trailers, nondeterministic by nature.
+        return [line for line in out.splitlines()
+                if not line.startswith("[")]
+
+    @staticmethod
+    def _snapshot(tel):
+        """Each file's bytes and its (inode, mtime) once stamped."""
+        return {path.name: (path.read_bytes(), _stamp(path))
+                for path in sorted(tel.iterdir())}
+
+    def test_warm_reruns_rewrite_nothing_recorded(self, tmp_path, capsys):
+        tel = tmp_path / "T"
+        cold = self._run(tmp_path, capsys)
+        files = self._snapshot(tel)
+        recorded = [n for n in files
+                    if n.endswith(".metrics.json") or n == "run.json"]
+        sidecars = [n for n in files if n.endswith(".perf.json")]
+        assert "run.json" in recorded and len(sidecars) == 80
+
+        assert self._run(tmp_path, capsys) == cold
+        assert sorted(p.name for p in tel.iterdir()) == sorted(files)
+        for name in recorded:
+            st = (tel / name).stat()
+            assert (tel / name).read_bytes() == files[name][0], name
+            assert (st.st_ino, st.st_mtime_ns) == files[name][1], name
+        for name in sidecars:
+            assert json.loads((tel / name).read_text()) == {
+                "schema": 1, "wall_seconds": 0.0,
+                "ops_per_second": 0.0}, name
+
+        files = self._snapshot(tel)
+        assert self._run(tmp_path, capsys, "--jobs", "2") == cold
+        assert sorted(p.name for p in tel.iterdir()) == sorted(files)
+        for name, (data, stamp) in files.items():
+            st = (tel / name).stat()
+            assert (st.st_ino, st.st_mtime_ns) == stamp, name
+            assert (tel / name).read_bytes() == data, name
 
 
 class TestSweepProgress:
