@@ -26,7 +26,8 @@ one that knows the format.  The contract (DESIGN.md §13):
 
 :func:`atomic_write` is the same discipline for whole files: a temp
 file unique to the writing process and thread, fsynced, then renamed
-over the target.
+over the target.  Writers that replace a file only when its bytes
+change check first with :func:`holds`.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ def atomic_write(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def holds(path, data: bytes) -> bool:
+    """Whether ``path`` already holds exactly ``data`` (False when it
+    cannot be read)."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read() == data
+    except OSError:
+        return False
 
 
 class AppendLog:

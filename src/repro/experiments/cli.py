@@ -430,7 +430,7 @@ def main(argv=None) -> int:
             print(str(result))
             print(f"\n[{experiment_id}: {time.time() - start:.1f}s]\n")
             if journal is not None:
-                journal.record_experiment(result, time.time() - start)
+                journal.record_experiment(result)
 
     ctx.close()  # dismisses a --listen fleet; no-op otherwise
     if journal is not None:
@@ -456,10 +456,9 @@ def main(argv=None) -> int:
                             prefix="fabric",
                             labels={"source": "sweep"})
     if args.telemetry is not None:
-        import json
         from pathlib import Path
 
-        from repro.telemetry.manifest import write_run_manifest
+        from repro.telemetry.manifest import write_json, write_run_manifest
 
         # The index deliberately omits --jobs and wall times so a
         # serial and a parallel run of the same sweep write identical
@@ -470,15 +469,25 @@ def main(argv=None) -> int:
             settings=run_settings,
             cells=ctx.manifests_written,
         )
-        if ctx.failed_cells:
-            Path(args.telemetry, "failed_cells.json").write_text(
-                json.dumps(ctx.failed_cells, indent=2) + "\n"
-            )
-        if ctx._executor.fabric_stats is not None:
-            Path(args.telemetry, "fabric.json").write_text(
-                json.dumps(ctx._executor.fabric_stats.as_dict(),
-                           indent=2) + "\n"
-            )
+        # The fabric's scheduling counters vary between identical runs,
+        # so they go to a perf sidecar like every host-speed number.
+        # A sidecar this run has nothing for is removed: an earlier
+        # run's failures or counters must not pass for this run's.
+        stats = ctx._executor.fabric_stats
+        counters = stats.as_dict() if stats is not None else {}
+        host = stats.HOST_COUNTERS if stats is not None else ()
+        sidecars = {
+            "failed_cells.json": ctx.failed_cells,
+            "fabric.json": {name: value for name, value
+                            in counters.items() if name not in host},
+            "fabric.perf.json": {name: counters[name] for name in host},
+        }
+        for name, payload in sidecars.items():
+            path = Path(args.telemetry, name)
+            if payload:
+                write_json(path, payload)
+            else:
+                path.unlink(missing_ok=True)
     if registry is not None and args.telemetry:
         # Flip the registry record to its final status (last writer
         # wins per directory); dashboards stop showing it as live.

@@ -109,6 +109,10 @@ class FabricStats:
     respawns: int = 0  # replacement workers launched
     heartbeats: int = 0  # heartbeat messages received
 
+    #: Counters that vary between identical runs with scheduling
+    #: timing; ``--telemetry`` keeps them in ``fabric.perf.json``.
+    HOST_COUNTERS = ("steals", "reassigned", "heartbeats")
+
     def as_dict(self) -> dict:
         return {
             "cells": self.cells,

@@ -207,6 +207,17 @@ class NetFabricStats:
     frames_rejected: int = 0  # connections dropped for bad frames
     auth_rejected: int = 0  # connections that failed the HMAC handshake
 
+    #: Counters that vary between identical runs with fleet timing (all
+    #: but the cell outcomes); ``--telemetry`` keeps them in
+    #: ``fabric.perf.json``.
+    HOST_COUNTERS = (
+        "retries", "leases_issued", "reclaims", "reclaims_eof",
+        "reclaims_heartbeat", "reclaims_deadline", "reclaims_admin",
+        "duplicate_results", "stale_frames", "worker_connects",
+        "worker_eofs", "worker_replaced", "worker_byes",
+        "frames_rejected", "auth_rejected",
+    )
+
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 

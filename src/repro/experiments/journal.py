@@ -15,9 +15,12 @@ A :class:`RunJournal` makes sweeps resumable:
   with :func:`~repro.applog.atomic_write`, holding the exact text the
   run printed.  ``--resume`` replays these verbatim, so an
   interrupted-and-resumed sweep prints the same results as an
-  uninterrupted one.
+  uninterrupted one.  A record carries no wall clock, so a rerun that
+  prints the same results leaves its file untouched.
 
-Both follow the durability contract of DESIGN.md §13.
+Both follow the durability contract of DESIGN.md §13.  ``meta.json``
+and the result files are replaced only when their bytes change, so a
+warm rerun writes and fsyncs none of them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.applog import AppendLog, atomic_write
+from repro.applog import AppendLog, atomic_write, holds
 
 
 def config_key(cfg) -> str:
@@ -64,8 +67,11 @@ class RunJournal:
     # ------------------------------------------------------------------
 
     def _atomic_write(self, path: Path, payload: dict) -> None:
-        atomic_write(path, json.dumps(payload, indent=2,
-                                      default=str).encode())
+        """Replace ``path`` with ``payload`` unless it already holds
+        exactly those bytes."""
+        data = json.dumps(payload, indent=2, default=str).encode()
+        if not holds(path, data):
+            atomic_write(path, data)
 
     def begin_experiment(self, experiment_id: str) -> None:
         """Label subsequent cell records with their experiment."""
@@ -113,7 +119,7 @@ class RunJournal:
     def _result_path(self, experiment_id: str) -> Path:
         return self.results_dir / f"{experiment_id}.json"
 
-    def record_experiment(self, result, elapsed: float) -> None:
+    def record_experiment(self, result) -> None:
         """Persist one completed experiment atomically."""
         try:
             data = json.loads(json.dumps(result.data, default=str))
@@ -124,7 +130,6 @@ class RunJournal:
             "title": result.title,
             "text": result.text,
             "data": data,
-            "elapsed": elapsed,
             "context": self.context_key,
         })
 

@@ -29,7 +29,9 @@ Design constraints, in priority order:
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +58,15 @@ class Cell:
     trace_cfg: Optional[SystemConfig] = None
 
 
+#: ``id(cfg)`` -> (weak reference to ``cfg``, its fingerprint).
+_config_fingerprints: dict = {}
+
+
+def _forget_config(key: int, ref) -> None:
+    if _config_fingerprints.get(key, (None,))[0] is ref:
+        del _config_fingerprints[key]
+
+
 def config_fingerprint(cfg: SystemConfig) -> str:
     """Hash of *every* config field.
 
@@ -64,8 +75,23 @@ def config_fingerprint(cfg: SystemConfig) -> str:
     message sizes...), so the cell memo must key on all of it.
     ``SystemConfig`` is a frozen dataclass tree whose ``repr`` is
     deterministic and total.
+
+    Each config object is hashed once.  The cache is keyed by object
+    identity, not by value: configs equal by value can still hash apart
+    (``repr`` tells ``inter_gpu_bw_gbps=100`` from ``100.0``), so a
+    value-keyed cache would make a fingerprint depend on which equal
+    config was seen first.  It lives outside the object, so a config
+    pickles to the same bytes before and after it is fingerprinted,
+    and an entry goes when its config does.
     """
-    return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
+    key = id(cfg)
+    entry = _config_fingerprints.get(key)
+    if entry is not None and entry[0]() is cfg:
+        return entry[1]
+    fingerprint = hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
+    ref = weakref.ref(cfg, functools.partial(_forget_config, key))
+    _config_fingerprints[key] = (ref, fingerprint)
+    return fingerprint
 
 
 def plan_fingerprint(plan) -> str:

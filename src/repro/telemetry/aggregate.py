@@ -97,7 +97,10 @@ def load_run(run_dir) -> dict:
         })
 
     failed = _read_json(root / "failed_cells.json") or []
-    fabric = _read_json(root / "fabric.json")
+    # The fabric's deterministic counters and its host-dependent ones
+    # (``fabric.perf.json``) are shown as one record.
+    fabric = {**(_read_json(root / "fabric.json") or {}),
+              **(_read_json(root / "fabric.perf.json") or {})} or None
     run = {
         "dir": str(root),
         "experiments": (index or {}).get("experiments", []),

@@ -16,17 +16,20 @@ artifact set.  A cell rolled up from a base cell's result rather than
 simulated (:func:`repro.engine.stats.derive`) spent no loop time; its
 sidecar names the base's slug under ``derived_from`` instead.
 
-Every file here goes through :func:`write_json`, which leaves a file
-whose content would not change untouched.  A rerun replayed from the
-results store therefore rewrites only the sidecars of the cells the
-previous run simulated or derived (a replay's sidecar records
-``wall_seconds`` 0.0), and the rerun after it rewrites nothing.
+Every file here goes through :func:`write_json`, which stores one
+canonical form, ``json.dumps(payload, sort_keys=True)`` plus a newline,
+and leaves a file that already holds those bytes untouched.  A rerun
+replayed from the results store therefore rewrites only the sidecars
+of the cells the previous run simulated or derived (a replay's sidecar
+records ``wall_seconds`` 0.0), and the rerun after it rewrites nothing.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from repro.applog import holds
 
 # NOTE: annotations below reference repro.engine.stats.SimResult, but the
 # import stays out of module scope — the engines import
@@ -36,21 +39,44 @@ from pathlib import Path
 SCHEMA = 1
 
 
-def _fingerprints(cfg, fault_plan):
+def _cell(workload: str, protocol: str, cfg, placement: str, fault_plan,
+          seed=None, ops_scale=None, engine="throughput") -> dict:
+    """A manifest's ``cell`` record: the cell's identity.  Its slug is
+    a projection of it (:func:`_slug`), so writing a cell's artifacts
+    fingerprints its config once."""
     from repro.experiments.parallel import (config_fingerprint,
                                             plan_fingerprint)
 
-    return config_fingerprint(cfg), plan_fingerprint(fault_plan)
+    return {
+        "workload": workload,
+        "protocol": protocol,
+        "engine": engine,
+        "placement": placement,
+        "config_fingerprint": config_fingerprint(cfg),
+        "fault_plan": (
+            {"name": fault_plan.name,
+             "fingerprint": plan_fingerprint(fault_plan)}
+            if fault_plan is not None else None
+        ),
+        "seed": seed,
+        "ops_scale": ops_scale,
+    }
+
+
+def _slug(cell: dict) -> str:
+    """The slug of a manifest's ``cell`` record."""
+    parts = [cell["workload"], cell["protocol"],
+             cell["config_fingerprint"][:8], cell["placement"]]
+    plan = cell["fault_plan"]
+    if plan is not None:
+        parts.append(f"{plan['name']}-{plan['fingerprint'][:8]}")
+    return "-".join(p.replace("/", "_") for p in parts)
 
 
 def cell_slug(workload: str, protocol: str, cfg, placement: str,
               fault_plan=None) -> str:
     """Filesystem-safe unique name for one sweep cell."""
-    cfg_fp, plan_fp = _fingerprints(cfg, fault_plan)
-    parts = [workload, protocol, cfg_fp[:8], placement]
-    if fault_plan is not None:
-        parts.append(f"{fault_plan.name}-{plan_fp[:8]}")
-    return "-".join(p.replace("/", "_") for p in parts)
+    return _slug(_cell(workload, protocol, cfg, placement, fault_plan))
 
 
 def cell_manifest(result: SimResult, *, workload: str, protocol: str,
@@ -58,23 +84,11 @@ def cell_manifest(result: SimResult, *, workload: str, protocol: str,
                   seed: int = None, ops_scale: float = None,
                   engine: str = "throughput") -> dict:
     """Deterministic digest of one completed cell."""
-    cfg_fp, plan_fp = _fingerprints(cfg, fault_plan)
     name, index, cycles = result.resources.bottleneck()
     return {
         "schema": SCHEMA,
-        "cell": {
-            "workload": workload,
-            "protocol": protocol,
-            "engine": engine,
-            "placement": placement,
-            "config_fingerprint": cfg_fp,
-            "fault_plan": (
-                {"name": fault_plan.name, "fingerprint": plan_fp}
-                if fault_plan is not None else None
-            ),
-            "seed": seed,
-            "ops_scale": ops_scale,
-        },
+        "cell": _cell(workload, protocol, cfg, placement, fault_plan,
+                      seed, ops_scale, engine),
         "platform": {
             "num_gpus": cfg.num_gpus,
             "gpms_per_gpu": cfg.gpms_per_gpu,
@@ -127,24 +141,21 @@ def perf_sidecar(result: SimResult, derived_from: str = None) -> dict:
     }
 
 
-def write_json(path, payload: dict) -> None:
-    """Canonical serialization: sorted keys, 2-space indent, newline.
+def write_json(path, payload) -> None:
+    """Write ``payload`` in the canonical form: compact sorted-key JSON
+    from the C encoder, ``json.dumps(payload, sort_keys=True)``, plus a
+    newline.
 
-    Writes only when the content changes: a file that parses to the
-    same content is left untouched, so a warm rerun re-records nothing.
-    Both sides are compared as compact sorted-key JSON (C encoder), so
-    the check is type-exact (``1`` against ``1.0`` still rewrites); an
-    absent or unparseable (torn) file is written.
+    Writes only when the bytes change: a file that already holds them
+    is left untouched, so a warm rerun re-records nothing.  The check
+    is one read and one bytes comparison.  It is exact, because equal
+    content has one canonical form, and type-exact, because the form
+    tells ``1`` from ``1.0``.  An absent, torn or invalid file is
+    written, and so is a file holding equal content in another form.
     """
-    path = Path(path)
-    compact = json.dumps(payload, sort_keys=True)
-    try:
-        if json.dumps(json.loads(path.read_bytes()),
-                      sort_keys=True) == compact:
-            return
-    except (OSError, ValueError):
-        pass
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    data = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    if not holds(path, data):
+        Path(path).write_bytes(data)
 
 
 def write_cell_artifacts(out_dir, result: SimResult, *, workload: str,
@@ -156,12 +167,12 @@ def write_cell_artifacts(out_dir, result: SimResult, *, workload: str,
     """Write ``<slug>.metrics.json`` + ``<slug>.perf.json``; returns slug."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    slug = cell_slug(workload, protocol, cfg, placement, fault_plan)
     manifest = cell_manifest(
         result, workload=workload, protocol=protocol, cfg=cfg,
         placement=placement, fault_plan=fault_plan, seed=seed,
         ops_scale=ops_scale, engine=engine,
     )
+    slug = _slug(manifest["cell"])
     write_json(out / f"{slug}.metrics.json", manifest)
     write_json(out / f"{slug}.perf.json",
                perf_sidecar(result, derived_from))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.experiments import cli
-from repro.experiments.fabric import retry_delay
+from repro.experiments.fabric import FabricStats, retry_delay
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import Cell, cell_fingerprint
 from repro.experiments.runner import ExperimentContext
@@ -275,7 +275,55 @@ class TestCliIntegration:
         assert manifest[0]["protocol"] == "hmg"
         fabric = json.loads((tmp_path / "t" / "fabric.json").read_text())
         assert fabric["failed"] == 1
+        assert "steals" not in fabric
         from repro.telemetry.session import RunRegistry
 
         runs = RunRegistry(tmp_path / "reg").runs()
         assert runs and runs[-1]["info"]["status"] == "failed"
+
+    def test_clean_run_removes_stale_sidecars(self, tmp_path, capsys):
+        """The fabric and failed-cell sidecars describe the run that
+        wrote the directory last: a clean serial run removes what an
+        earlier run left there."""
+        from repro.telemetry.aggregate import load_run, run_summary
+
+        tel = tmp_path / "t"
+        tel.mkdir()
+        stale = {
+            "failed_cells.json": [{"workload": "CoMD", "protocol": "hmg",
+                                   "error": "boom", "attempts": 3}],
+            "fabric.json": {"cells": 14, "completed": 13, "failed": 1},
+            "fabric.perf.json": {"steals": 4, "reassigned": 0,
+                                 "heartbeats": 9},
+        }
+        for name, payload in stale.items():
+            (tel / name).write_text(json.dumps(payload))
+        assert cli.main([*self.ARGS, "--telemetry", str(tel),
+                         "--no-registry"]) == 0
+        capsys.readouterr()
+        assert not [name for name in stale if (tel / name).exists()]
+        summary = run_summary(load_run(tel))
+        assert summary["failed_cells"] == 0
+        assert summary["fabric"] is None
+
+    def test_identical_parallel_runs_leave_identical_telemetry(
+            self, tmp_path, capsys):
+        """Only the perf sidecars may differ between two identical
+        ``--jobs 2`` runs; the dashboard still sees every fabric
+        counter."""
+        from repro.telemetry.aggregate import load_run
+
+        trees = []
+        for label in ("a", "b"):
+            assert cli.main([*self.ARGS, "--jobs", "2", "--telemetry",
+                             str(tmp_path / label), "--no-registry"]) == 0
+            trees.append({path.name: path.read_bytes() for path in
+                          sorted((tmp_path / label).iterdir())
+                          if not path.name.endswith(".perf.json")})
+        capsys.readouterr()
+        assert trees[0] == trees[1]
+        fabric = json.loads(trees[0]["fabric.json"])
+        assert fabric["cells"] > 1
+        assert not set(fabric) & set(FabricStats.HOST_COUNTERS)
+        merged = load_run(tmp_path / "a")["fabric"]
+        assert set(merged) == set(FabricStats().as_dict())

@@ -52,6 +52,61 @@ class TestCellKeys:
         slow = CFG.replace(latency=LatencyConfig(dram_access=999))
         assert config_fingerprint(slow) != config_fingerprint(CFG)
 
+    def test_one_hash_per_config_object(self, monkeypatch, tmp_path):
+        import hashlib
+        from types import SimpleNamespace
+
+        from repro.experiments import parallel
+        from repro.telemetry.manifest import (cell_manifest, cell_slug,
+                                              write_cell_artifacts)
+
+        result = ExperimentContext(CFG, workloads=WORKLOADS,
+                                   **QUICK).run("CoMD", "hmg")
+        hashed = []
+
+        def sha256(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(parallel, "hashlib",
+                            SimpleNamespace(sha256=sha256))
+        cfg = CFG.replace(inter_gpu_bw_gbps=CFG.inter_gpu_bw_gbps)
+        fp = config_fingerprint(cfg)
+        cell_key("CoMD", "hmg", cfg, "first_touch", None)
+        slug = cell_slug("CoMD", "hmg", cfg, "first_touch")
+        manifest = cell_manifest(result, workload="CoMD", protocol="hmg",
+                                 cfg=cfg)
+        assert write_cell_artifacts(tmp_path, result, workload="CoMD",
+                                    protocol="hmg", cfg=cfg,
+                                    placement="first_touch") == slug
+        assert manifest["cell"]["config_fingerprint"] == fp
+        assert hashed == [repr(cfg).encode()]
+        # Another object equal by value is hashed for itself.
+        assert config_fingerprint(CFG.replace()) == fp
+        assert len(hashed) == 2
+
+    def test_equal_configs_keep_their_own_fingerprints(self):
+        """``repr`` tells 100 from 100.0, so equal configs can hash
+        apart; which one is fingerprinted first must not matter."""
+        base = SystemConfig.paper_scaled(1 / 16)
+        expected = {int: "79ae4fcf", float: "742c3e46"}
+        for order in ((100, 100.0), (100.0, 100)):
+            cfgs = [base.replace(inter_gpu_bw_gbps=bw) for bw in order]
+            assert cfgs[0] == cfgs[1]
+            for bw, cfg in zip(order, cfgs):
+                assert config_fingerprint(cfg).startswith(
+                    expected[type(bw)]), bw
+
+    def test_fingerprint_stays_out_of_the_pickle(self):
+        import pickle
+
+        cfg = CFG.replace(inter_gpu_bw_gbps=CFG.inter_gpu_bw_gbps)
+        before = pickle.dumps(cfg)
+        config_fingerprint(cfg)
+        assert pickle.dumps(cfg) == before
+        copy = pickle.loads(before)
+        assert config_fingerprint(copy) == config_fingerprint(cfg)
+
     def test_plan_fingerprint(self):
         assert plan_fingerprint(None) == ""
         assert plan_fingerprint(PLAN) == plan_fingerprint(PLAN)
@@ -198,9 +253,7 @@ class TestSweepVariants:
             if not line.startswith(tuple(f"[{s}:" for s in self.SWEEPS)))
         results = {}
         for path in sorted((root / "journal" / "results").glob("*.json")):
-            record = json.loads(path.read_text())
-            record.pop("elapsed")  # wall clock
-            results[path.name] = record
+            results[path.name] = json.loads(path.read_text())
         return (out, (root / "journal" / "cells.jsonl").read_bytes(),
                 results)
 

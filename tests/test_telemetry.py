@@ -276,7 +276,7 @@ class TestWriteOnChange:
 
     @staticmethod
     def canonical(payload):
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True) + "\n"
 
     def test_unchanged_payload_leaves_file_untouched(self, tmp_path):
         path = tmp_path / "m.json"
@@ -315,11 +315,26 @@ class TestWriteOnChange:
         write_json(path, self.PAYLOAD)
         assert path.read_text() == self.canonical(self.PAYLOAD)
 
+    def test_equal_content_in_another_form_is_rewritten_once(self,
+                                                             tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.PAYLOAD, sort_keys=True,
+                                   indent=2) + "\n")
+        _stamp(path)
+        write_json(path, self.PAYLOAD)
+        assert path.stat().st_mtime_ns != OLD_NS
+        assert path.read_text() == self.canonical(self.PAYLOAD)
+        before = _stamp(path)
+        write_json(path, self.PAYLOAD)
+        st = path.stat()
+        assert (st.st_ino, st.st_mtime_ns) == before
+
 
 class TestWarmRerun:
     """A rerun replayed from the store re-records nothing it already
-    recorded: manifests and run.json stay untouched, and only the perf
-    sidecars change, once, to the replay record."""
+    recorded: manifests, run.json and the journal's meta.json and
+    result files stay untouched, and only the perf sidecars change,
+    once, to the replay record."""
 
     ARGS = ["fig8", "fig12", "faults", "--quick", "--workloads", "CoMD",
             "mst", "--no-registry"]
@@ -328,45 +343,56 @@ class TestWarmRerun:
         from repro.experiments import cli
 
         assert cli.main([*self.ARGS, "--store", str(tmp_path / "S"),
-                         "--telemetry", str(tmp_path / "T"), *extra]) == 0
+                         "--telemetry", str(tmp_path / "T"),
+                         "--journal", str(tmp_path / "J"), *extra]) == 0
         out = capsys.readouterr().out
         # Drop the wall-clock trailers, nondeterministic by nature.
         return [line for line in out.splitlines()
                 if not line.startswith("[")]
 
     @staticmethod
-    def _snapshot(tel):
+    def _names(root):
+        """Every telemetry file, and the journal's files but its
+        append-only cells.jsonl."""
+        paths = [*(root / "T").iterdir(), root / "J" / "meta.json",
+                 *(root / "J" / "results").iterdir()]
+        return sorted(str(path.relative_to(root)) for path in paths)
+
+    def _snapshot(self, root):
         """Each file's bytes and its (inode, mtime) once stamped."""
-        return {path.name: (path.read_bytes(), _stamp(path))
-                for path in sorted(tel.iterdir())}
+        return {name: ((root / name).read_bytes(), _stamp(root / name))
+                for name in self._names(root)}
 
     def test_warm_reruns_rewrite_nothing_recorded(self, tmp_path, capsys):
-        tel = tmp_path / "T"
         cold = self._run(tmp_path, capsys)
-        files = self._snapshot(tel)
-        recorded = [n for n in files
-                    if n.endswith(".metrics.json") or n == "run.json"]
+        files = self._snapshot(tmp_path)
+        recorded = [n for n in files if not n.endswith(".perf.json")]
         sidecars = [n for n in files if n.endswith(".perf.json")]
-        assert "run.json" in recorded and len(sidecars) == 80
+        assert "T/run.json" in recorded and "J/meta.json" in recorded
+        assert len(sidecars) == 80
+        assert {"J/results/fig8.json", "J/results/faults.json"} <= set(
+            recorded)
 
         assert self._run(tmp_path, capsys) == cold
-        assert sorted(p.name for p in tel.iterdir()) == sorted(files)
+        assert self._names(tmp_path) == sorted(files)
         for name in recorded:
-            st = (tel / name).stat()
-            assert (tel / name).read_bytes() == files[name][0], name
+            st = (tmp_path / name).stat()
+            assert (tmp_path / name).read_bytes() == files[name][0], name
             assert (st.st_ino, st.st_mtime_ns) == files[name][1], name
         for name in sidecars:
-            assert json.loads((tel / name).read_text()) == {
+            assert json.loads((tmp_path / name).read_text()) == {
                 "schema": 1, "wall_seconds": 0.0,
                 "ops_per_second": 0.0}, name
 
-        files = self._snapshot(tel)
+        files = self._snapshot(tmp_path)
+        cells = (tmp_path / "J" / "cells.jsonl").stat().st_size
         assert self._run(tmp_path, capsys, "--jobs", "2") == cold
-        assert sorted(p.name for p in tel.iterdir()) == sorted(files)
+        assert self._names(tmp_path) == sorted(files)
         for name, (data, stamp) in files.items():
-            st = (tel / name).stat()
+            st = (tmp_path / name).stat()
             assert (st.st_ino, st.st_mtime_ns) == stamp, name
-            assert (tel / name).read_bytes() == data, name
+            assert (tmp_path / name).read_bytes() == data, name
+        assert (tmp_path / "J" / "cells.jsonl").stat().st_size > cells
 
 
 class TestSweepProgress:
