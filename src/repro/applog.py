@@ -1,9 +1,8 @@
 """The one durable log: append-only JSONL with a CRC per record.
 
 Every crash-safe log in the repo is an :class:`AppendLog` — the
-journal's ``cells.jsonl``, the results store's shards, the run
-registry and the metrics collector's log — and this module is the only
-one that knows the format.  The contract (DESIGN.md §13):
+results store's shards and the run registry — and this module is the
+only one that knows the format.  The contract (DESIGN.md §13):
 
 * **One record, one line, one write.**  A record is a flat JSON object
   whose ``crc`` key is the CRC32 of its other keys serialized as

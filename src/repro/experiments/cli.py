@@ -1,12 +1,14 @@
 """Command-line entry point: ``python -m repro.experiments <id> ...``.
 
 Crash-safe by construction: a ``--journal`` directory records every
-completed experiment (and every simulated cell) as it finishes, so a
-sweep killed mid-run can be re-issued with ``--resume`` and only the
-missing experiments execute — the completed ones are replayed verbatim
-from the journal.  Per-experiment ``--timeout`` (with retry + backoff
-for transient failures) and collect-don't-abort error handling keep one
-bad workload from taking down ``all``.
+completed experiment as it finishes, so a sweep killed mid-run can be
+re-issued with ``--resume`` and only the missing experiments execute —
+the completed ones are replayed verbatim from the journal.  Without a
+``--store`` of its own the journal also keeps the results store, so the
+experiment that was interrupted replays its finished cells and
+simulates only the rest.  Per-experiment ``--timeout`` (with retry +
+backoff for transient failures) and collect-don't-abort error handling
+keep one bad workload from taking down ``all``.
 """
 
 from __future__ import annotations
@@ -156,19 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "starts (default .repro-registry)")
     parser.add_argument("--no-registry", action="store_true",
                         help="do not register this run")
-    parser.add_argument("--push-metrics", default=None, metavar="URL",
-                        help="push per-cell and fabric metrics to this "
-                             "'observe --serve' collector (strictly "
-                             "out-of-band: a dead or slow collector "
-                             "never stalls the sweep or changes a "
-                             "single output byte)")
-    parser.add_argument("--push-token", default=None, metavar="SECRET",
-                        help="bearer token for --push-metrics "
-                             "(default: $REPRO_OBSERVE_TOKEN); the "
-                             "collector derives the namespace from it")
     parser.add_argument("--journal", default=None, metavar="DIR",
-                        help="record completed experiments/cells in DIR "
-                             f"(implied '{DEFAULT_JOURNAL}' by --resume)")
+                        help="record completed experiments in DIR, and "
+                             "keep the results store in DIR/store unless "
+                             "--store is given (implied "
+                             f"'{DEFAULT_JOURNAL}' by --resume)")
     parser.add_argument("--resume", action="store_true",
                         help="skip experiments already completed in the "
                              "journal, replaying their stored output")
@@ -300,6 +294,7 @@ def main(argv=None) -> int:
             return 2
 
     journal = None
+    store = args.store
     journal_dir = args.journal
     if journal_dir is None and args.resume:
         journal_dir = DEFAULT_JOURNAL
@@ -311,10 +306,16 @@ def main(argv=None) -> int:
             "workloads": args.workloads,
             "sanitize": args.sanitize,
         })
-        if args.resume and not journal.compatible:
+        if not journal.compatible:
             print(f"journal {journal_dir} was written under different "
-                  f"settings; ignoring its completed results",
+                  f"settings; it now records this run's, and results "
+                  f"from other settings are not replayed",
                   file=sys.stderr)
+        if store is None:
+            # The journal's own store resumes an interrupted experiment
+            # cell by cell.  It stays out of the registry, so a
+            # --journal run writes nothing outside its directory.
+            store = journal.store_dir
 
     # Announce the run before the first cell simulates: a live
     # `observe --serve` discovers sweeps through the registry, and
@@ -348,31 +349,18 @@ def main(argv=None) -> int:
     if args.listen is not None and registry is not None:
         fleet_dir = args.telemetry or ".repro-fabric"
 
-    metrics = None
-    if args.push_metrics is not None:
-        from repro.telemetry.metrics import MetricsClient
-
-        metrics = MetricsClient(
-            args.push_metrics,
-            token=(args.push_token
-                   or os.environ.get("REPRO_OBSERVE_TOKEN")),
-            run=args.telemetry or f"sweep-{'-'.join(ids)}",
-            seed=args.seed,
-        )
-
     ctx = ExperimentContext(
         SystemConfig.paper_scaled(args.scale),
         seed=args.seed,
         ops_scale=ops_scale,
         workloads=args.workloads,
         sanitize=args.sanitize,
-        journal=journal,
         jobs=args.jobs,
         trace_cache=args.trace_cache,
         repro_dir=args.repro_dir,
         telemetry_dir=args.telemetry,
         progress=args.jobs > 1,
-        store=args.store,
+        store=store,
         cell_timeout=args.cell_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
@@ -384,7 +372,6 @@ def main(argv=None) -> int:
         fleet_dir=fleet_dir,
         fabric_authkey=fabric_authkey,
         insecure_fabric=args.insecure_fabric,
-        metrics=metrics,
     )
 
     failures = []
@@ -400,8 +387,6 @@ def main(argv=None) -> int:
                           f"{cached['text']}")
                     print(f"\n[{experiment_id}: cached from journal]\n")
                     continue
-            if journal is not None:
-                journal.begin_experiment(experiment_id)
             start = time.time()
             try:
                 result = run_with_retries(
@@ -433,8 +418,6 @@ def main(argv=None) -> int:
                 journal.record_experiment(result)
 
     ctx.close()  # dismisses a --listen fleet; no-op otherwise
-    if journal is not None:
-        journal.close()
     if ctx.store is not None:
         stats = ctx.store.stats()
         print(f"results store: {stats['hits']} replayed, "
@@ -442,19 +425,7 @@ def main(argv=None) -> int:
               + (f", {stats['corrupt_records']} corrupt record(s) "
                  "recomputed" if stats["corrupt_records"] else ""),
               file=sys.stderr)
-        if metrics is not None:
-            from repro.telemetry.metrics import emit_stats_counters
-
-            emit_stats_counters(metrics, stats, prefix="store",
-                                labels={"source": "sweep"})
         ctx.store.close()
-    if metrics is not None and ctx._executor.fabric_stats is not None:
-        from repro.telemetry.metrics import emit_stats_counters
-
-        emit_stats_counters(metrics,
-                            ctx._executor.fabric_stats.as_dict(),
-                            prefix="fabric",
-                            labels={"source": "sweep"})
     if args.telemetry is not None:
         from pathlib import Path
 
@@ -504,12 +475,6 @@ def main(argv=None) -> int:
                   f"{record['error']} "
                   f"(after {record['attempts']} attempt(s))",
                   file=sys.stderr)
-    if metrics is not None:
-        # Final bounded flush; anything undeliverable is dropped and
-        # counted.  Stderr only — stdout is diffed by CI and must stay
-        # byte-identical with metrics on or off.
-        metrics.close()
-        print(metrics.summary(), file=sys.stderr)
     if interrupted:
         return 143 if terminated else 130
     if failures:

@@ -131,12 +131,6 @@ class FabricStats:
         for key, value in other.as_dict().items():
             setattr(self, key, getattr(self, key) + value)
 
-    def snapshot(self) -> dict:
-        """Point-in-time copy, uniform with
-        :meth:`repro.experiments.fabric_net.NetFabricStats.snapshot` —
-        what the metrics pipeline pushes as ``fabric.*`` gauges."""
-        return self.as_dict()
-
 
 # ----------------------------------------------------------------------
 # Worker side

@@ -225,11 +225,6 @@ class NetFabricStats:
         for key, value in other.as_dict().items():
             setattr(self, key, getattr(self, key) + value)
 
-    def snapshot(self) -> dict:
-        """Point-in-time copy (uniform with
-        :meth:`repro.experiments.fabric.FabricStats.snapshot`)."""
-        return self.as_dict()
-
 
 @dataclass
 class _NetTask:
@@ -310,8 +305,7 @@ class NetFabricCoordinator:
                  heartbeat_interval: float = 0.25,
                  heartbeat_timeout: float = None, min_workers: int = 1,
                  registry=None, fleet_dir=None, tracer=None,
-                 authkey=None, allow_unauthenticated: bool = False,
-                 metrics=None):
+                 authkey=None, allow_unauthenticated: bool = False):
         self.authkey = _as_authkey(authkey)
         check_listen_security(listen, self.authkey, allow_unauthenticated)
         self.seed = seed
@@ -330,10 +324,6 @@ class NetFabricCoordinator:
         self.registry = registry
         self.fleet_dir = fleet_dir
         self.tracer = tracer
-        #: Optional :class:`repro.telemetry.metrics.MetricsClient`;
-        #: lease-health counters piggyback on the (throttled) fleet
-        #: republish cadence.  Strictly out-of-band.
-        self.metrics = metrics
         self.stats = NetFabricStats()
         self.failed: list = []
         self._workers: dict = {}  # name -> _NetWorker
@@ -719,9 +709,8 @@ class NetFabricCoordinator:
         """Point-in-time copy of every coordinator counter
         (:class:`NetFabricStats`) plus fleet size — the
         process-private counters, exposed.  Published with every fleet
-        record (so ``observe --serve`` renders lease health even with
-        metrics push off) and pushed as ``fabric.*`` gauges when a
-        metrics client is attached."""
+        record, so ``observe --serve`` renders lease health at
+        ``/fleet``."""
         snapshot = self.stats.as_dict()
         snapshot["workers_connected"] = len(self._workers)
         snapshot["leases_outstanding"] = len(self._leases)
@@ -761,26 +750,18 @@ class NetFabricCoordinator:
 
     def _publish_fleet(self, status: str = "running",
                        force: bool = False) -> None:
-        if self.registry is None and self.metrics is None:
+        if self.registry is None or self.fleet_dir is None:
             return
         now = time.monotonic()
         if not force and now - self._fleet_published < 2.0:
             return
         self._fleet_published = now
-        if self.registry is not None and self.fleet_dir is not None:
-            try:
-                self.registry.register_fleet(
-                    self.fleet_dir, **self.fleet_snapshot(status))
-            except OSError as exc:
-                print(f"fabric-net: fleet registration failed: {exc}",
-                      file=sys.stderr)
-        if self.metrics is not None:
-            from repro.telemetry.metrics import emit_stats_counters
-
-            emit_stats_counters(
-                self.metrics, self.stats_snapshot(), prefix="fabric",
-                labels={"source": "coordinator",
-                        "addr": "%s:%d" % self.address})
+        try:
+            self.registry.register_fleet(
+                self.fleet_dir, **self.fleet_snapshot(status))
+        except OSError as exc:
+            print(f"fabric-net: fleet registration failed: {exc}",
+                  file=sys.stderr)
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -957,17 +938,13 @@ class FabricWorker:
     def __init__(self, connect, *, name: str = None, trace_cache=None,
                  chaos=None, heartbeat_interval: float = 0.25,
                  reconnect_delay: float = 1.0, max_reconnects: int = 8,
-                 authkey=None, metrics=None):
+                 authkey=None):
         self.addr = (tuple(connect) if not isinstance(connect, str)
                      else parse_address(connect))
         self.authkey = _as_authkey(authkey)
         self.name = name or f"{socket.gethostname()}:{os.getpid()}"
         self.trace_cache = trace_cache
         self.chaos = chaos
-        #: Optional :class:`repro.telemetry.metrics.MetricsClient`:
-        #: completed cells push their interval window straight from
-        #: this host instead of relying on the coordinator's disk.
-        self.metrics = metrics
         self.heartbeat_interval = heartbeat_interval
         self.reconnect_delay = reconnect_delay
         self.max_reconnects = max_reconnects
@@ -1066,19 +1043,6 @@ class FabricWorker:
                     self._send(("result", lease_id, index, fingerprint,
                                 result))
                 self.cells_done += 1
-                if self.metrics is not None:
-                    from repro.telemetry.metrics import (
-                        cell_labels, emit_cell_metrics)
-
-                    cell = payload[0]
-                    emit_cell_metrics(
-                        self.metrics, result, labels=cell_labels(
-                            cell.workload, cell.protocol,
-                            engine=getattr(result, "engine_used", "")
-                            or "throughput",
-                            placement=cell.placement,
-                            source="worker", worker=self.name,
-                        ))
         finally:
             self._lease_id = None
 
@@ -1170,10 +1134,6 @@ class FabricWorker:
                 time.sleep(self.reconnect_delay)
         finally:
             self._stop.set()
-            if self.metrics is not None:
-                self.metrics.close()
-                print(f"worker {self.name}: {self.metrics.summary()}",
-                      file=sys.stderr)
 
 
 # ----------------------------------------------------------------------
@@ -1226,13 +1186,6 @@ def build_worker_parser():
                         metavar="SECONDS",
                         help="silence duration for blackhole attacks "
                              "(default: one lease period)")
-    parser.add_argument("--push-metrics", default=None, metavar="URL",
-                        help="push per-cell metrics to this observe "
-                             "--serve collector (out-of-band; a dead "
-                             "collector never stalls the worker)")
-    parser.add_argument("--push-token", default=None, metavar="SECRET",
-                        help="bearer token for --push-metrics "
-                             "(default: $REPRO_OBSERVE_TOKEN)")
     return parser
 
 
@@ -1251,23 +1204,12 @@ def worker_cli(argv=None) -> int:
             args.chaos_once.split(","),
             blackhole_seconds=args.blackhole_seconds,
         )
-    metrics = None
-    if args.push_metrics is not None:
-        from repro.telemetry.metrics import MetricsClient
-
-        metrics = MetricsClient(
-            args.push_metrics,
-            token=(args.push_token
-                   or os.environ.get("REPRO_OBSERVE_TOKEN")),
-            run=args.name or f"{socket.gethostname()}:{os.getpid()}",
-        )
     worker = FabricWorker(
         args.connect, name=args.name, trace_cache=args.trace_cache,
         chaos=chaos, heartbeat_interval=args.heartbeat_interval,
         reconnect_delay=args.reconnect_delay,
         max_reconnects=args.max_reconnects,
         authkey=args.authkey or os.environ.get("REPRO_FABRIC_AUTHKEY"),
-        metrics=metrics,
     )
     print(f"worker {worker.name}: connecting to "
           f"{'%s:%d' % worker.addr}", file=sys.stderr)

@@ -10,9 +10,10 @@ Design constraints, in priority order:
 1. **Determinism.**  ``--jobs 4`` must produce byte-identical output to
    a serial run.  Workers therefore only *compute*: every
    :class:`~repro.engine.stats.SimResult` travels back to the parent,
-   which journals cells in submission order and assembles every table
-   itself.  ``wall_seconds`` is the lone nondeterministic field and is
-   excluded from journals and experiment data by construction.
+   which completes cells (store, manifests) in submission order and
+   assembles every table itself.  ``wall_seconds`` is the lone
+   nondeterministic field and is excluded from manifests, store
+   records and experiment data by construction.
 2. **No duplicate work.**  Cell keys (:func:`cell_key`) are stable
    fingerprints; the parent deduplicates before dispatch, and
    :class:`~repro.experiments.runner.ExperimentContext` memoizes results
@@ -203,7 +204,7 @@ class SweepExecutor:
     The executor owns no state between calls beyond its settings and
     counters; the caller
     (:class:`~repro.experiments.runner.ExperimentContext`) holds the
-    result memo, the results store, and the journal.  With ``jobs > 1``
+    result memo, the results store, and the manifests.  With ``jobs > 1``
     cells run on the fault-tolerant scheduler of
     :mod:`repro.experiments.fabric` — per-cell timeouts, bounded seeded
     retries, heartbeat-driven work stealing — and a cell that exhausts
@@ -245,10 +246,6 @@ class SweepExecutor:
     chaos: object = None
     #: Optional telemetry tracer receiving fabric events.
     tracer: object = None
-    #: Optional :class:`repro.telemetry.metrics.MetricsClient` handed
-    #: to the distributed coordinator (which pushes its lease-health
-    #: counters through it, out-of-band).
-    metrics: object = field(default=None, compare=False)
     #: Cells simulated through this executor (observability/testing).
     cells_run: int = field(default=0, compare=False)
     #: ``(cell, FailedCell)`` pairs from every batch so far.
@@ -286,7 +283,6 @@ class SweepExecutor:
                 tracer=self.tracer,
                 authkey=self.authkey,
                 allow_unauthenticated=self.allow_unauthenticated,
-                metrics=self.metrics,
             )
             import sys
 
@@ -308,7 +304,7 @@ class SweepExecutor:
         ``progress`` is an optional
         :class:`repro.telemetry.progress.SweepProgress`; it is updated
         as cells *finish* (any order) while results are still returned
-        — and therefore journaled and written as manifests — in
+        — and therefore stored and written as manifests — in
         submission order, keeping parallel output byte-identical to
         serial.
         """

@@ -15,7 +15,9 @@ processes with deterministic, serial-identical results (see
 :mod:`repro.experiments.parallel`).  A driver that needs traces
 generated against another platform (one GPU, eight GPUs) asks for
 :meth:`ExperimentContext.derive`, which keeps every one of these
-services.
+services.  A completed cell is recorded in two places, both written by
+the parent in request order: the results store (``store``) and its
+manifest with a perf sidecar (``telemetry_dir``).
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class SweepServices:
     A context and every context derived from it
     (:meth:`ExperimentContext.derive`) hold the same services object, so
     a cell any of them asks for is dispatched on the same workers,
-    memoized, stored, journaled and indexed once.
+    memoized, stored and indexed once.
     """
 
     #: Sweep fan-out (``--jobs`` / ``--listen``).
@@ -85,9 +87,6 @@ class SweepServices:
     #: completed cells persist across runs/branches, and a sweep
     #: revisiting a stored cell replays it without an engine.
     store: object = None
-    #: Optional :class:`repro.experiments.journal.RunJournal`
-    #: receiving a record of every completed cell.
-    journal: object = None
     #: Optional :class:`repro.trace.cache.TraceCache`, shared by the
     #: parent and the workers.
     trace_cache: object = None
@@ -95,11 +94,6 @@ class SweepServices:
     telemetry_dir: object = None
     #: Directory receiving a replayable repro of any sanitizer trip.
     repro_dir: object = None
-    #: Optional :class:`repro.telemetry.metrics.MetricsClient`.
-    #: Strictly out-of-band: every emit is non-blocking and
-    #: drop-on-failure, and no manifest/journal/store write depends on
-    #: it — sweep artifacts are byte-identical with it on or off.
-    metrics: object = None
     #: Draw a live stderr line while sweep batches execute.
     progress: bool = False
     #: ``(workload, geometry fingerprint, seed, ops_scale)`` -> Trace.
@@ -138,17 +132,14 @@ class ExperimentContext:
     simulation).
 
     The other keyword arguments build the :class:`SweepServices`:
-    ``journal`` is an optional
-    :class:`repro.experiments.journal.RunJournal` receiving a record of
-    every completed cell (crash-safe progress tracking); ``jobs`` sets
-    the worker-process count for sweep fan-out (1 = serial, the
-    default); ``trace_cache`` names a directory for the persistent
-    binary trace cache shared by parent and workers; ``repro_dir``
-    names a directory where any sanitizer violation is dumped as a
-    replayable repro file (:mod:`repro.verify.reprofile`) before the
-    exception propagates; ``telemetry_dir`` names a directory where
-    every completed cell leaves a ``<slug>.metrics.json`` manifest +
-    ``<slug>.perf.json`` sidecar (:mod:`repro.telemetry.manifest`) —
+    ``jobs`` sets the worker-process count for sweep fan-out (1 =
+    serial, the default); ``trace_cache`` names a directory for the
+    persistent binary trace cache shared by parent and workers;
+    ``repro_dir`` names a directory where any sanitizer violation is
+    dumped as a replayable repro file (:mod:`repro.verify.reprofile`)
+    before the exception propagates; ``telemetry_dir`` names a directory
+    where every completed cell leaves a ``<slug>.metrics.json`` manifest
+    + ``<slug>.perf.json`` sidecar (:mod:`repro.telemetry.manifest`) —
     manifests are written here in the parent, in completion order, so
     serial and parallel sweeps produce byte-identical files;
     ``progress`` draws a live stderr line while sweep batches execute;
@@ -159,7 +150,7 @@ class ExperimentContext:
 
     def __init__(self, cfg: SystemConfig = None, seed: int = 1,
                  ops_scale: float = 1.0, workloads=None,
-                 fault_plan=None, sanitize: bool = False, journal=None,
+                 fault_plan=None, sanitize: bool = False,
                  jobs: int = 1, trace_cache=None, repro_dir=None,
                  telemetry_dir=None, progress: bool = False,
                  store=None, cell_timeout: float = 0.0,
@@ -168,7 +159,7 @@ class ExperimentContext:
                  lease_size: int = 1, min_workers: int = 1,
                  fleet_registry=None, fleet_dir=None,
                  fabric_authkey=None,
-                 insecure_fabric: bool = False, metrics=None):
+                 insecure_fabric: bool = False):
         self.cfg = cfg if cfg is not None else SystemConfig.paper_scaled()
         self.seed = seed
         self.ops_scale = ops_scale
@@ -196,12 +187,12 @@ class ExperimentContext:
             listen=listen, lease_ttl=lease_ttl, lease_size=lease_size,
             min_workers=min_workers, fleet_registry=fleet_registry,
             fleet_dir=fleet_dir, authkey=fabric_authkey,
-            allow_unauthenticated=insecure_fabric, metrics=metrics,
+            allow_unauthenticated=insecure_fabric,
         )
         self.services = SweepServices(
-            executor=executor, store=store, journal=journal,
-            trace_cache=trace_cache, telemetry_dir=telemetry_dir,
-            repro_dir=repro_dir, metrics=metrics, progress=progress,
+            executor=executor, store=store, trace_cache=trace_cache,
+            telemetry_dir=telemetry_dir, repro_dir=repro_dir,
+            progress=progress,
         )
 
     def derive(self, cfg: SystemConfig) -> "ExperimentContext":
@@ -209,8 +200,8 @@ class ExperimentContext:
 
         It keeps this context's seed, ops-scale, workloads, fault plan
         and sanitize flag, and shares its :attr:`services` by
-        reference: the workers, the store, the journal, the telemetry
-        index, the trace cache and both memos.
+        reference: the workers, the store, the telemetry index, the
+        trace cache and both memos.
         """
         derived = copy.copy(self)
         derived.cfg = cfg
@@ -280,15 +271,10 @@ class ExperimentContext:
 
     def _store_get(self, key: tuple):
         """The persisted result for a cell, if a store is attached."""
-        services = self.services
-        if services.store is None:
+        store = self.services.store
+        if store is None:
             return None
-        result = services.store.get(self._store_key(key))
-        if services.metrics is not None:
-            services.metrics.emit(
-                "store.hit" if result is not None else "store.miss",
-                1, kind="counter")
-        return result
+        return store.get(self._store_key(key))
 
     def _base(self, cell: Cell, key: tuple):
         """``(cell, result)`` of a completed cell that ``cell`` can be
@@ -313,7 +299,7 @@ class ExperimentContext:
     def _complete(self, cell: Cell, key: tuple, result,
                   from_store: bool = False, derived_from: Cell = None
                   ) -> None:
-        """Memoize, store, journal and manifest one completed cell;
+        """Memoize, store and manifest one completed cell;
         ``derived_from`` is the base a derived cell was rolled up from."""
         services = self.services
         services.results[key] = result
@@ -322,11 +308,6 @@ class ExperimentContext:
             services.store.put(self._store_key(key), result,
                                workload=cell.workload,
                                protocol=cell.protocol)
-        if services.journal is not None:
-            services.journal.record_cell(cell.workload, cell.protocol,
-                                         cell.cfg,
-                                         fault_plan=cell.fault_plan,
-                                         result=result)
         if services.telemetry_dir is not None:
             from repro.telemetry.manifest import (cell_slug,
                                                   write_cell_artifacts)
@@ -348,17 +329,6 @@ class ExperimentContext:
             if slug not in services.manifest_slugs:
                 services.manifest_slugs.add(slug)
                 services.manifests_written.append(slug)
-        if services.metrics is not None:
-            from repro.telemetry.metrics import (cell_labels,
-                                                 emit_cell_metrics)
-
-            source = ("store" if from_store
-                      else "derived" if derived_from is not None
-                      else "engine")
-            emit_cell_metrics(services.metrics, result, labels=cell_labels(
-                cell.workload, cell.protocol, engine=_engine_of(result),
-                placement=cell.placement, source=source,
-            ))
 
     def _complete_failure(self, cell: Cell, key: tuple,
                           failure) -> None:
@@ -366,7 +336,7 @@ class ExperimentContext:
         every downstream table renders this cell as a gap."""
         services = self.services
         services.results[key] = None
-        record = {
+        services.failed_cells.append({
             "workload": cell.workload,
             "protocol": cell.protocol,
             "placement": cell.placement,
@@ -374,17 +344,7 @@ class ExperimentContext:
             "fingerprint": failure.fingerprint,
             "attempts": failure.attempts,
             "error": failure.error,
-        }
-        services.failed_cells.append(record)
-        if services.metrics is not None:
-            services.metrics.emit("cell.failed", 1, kind="counter",
-                                  labels={"workload": cell.workload,
-                                          "protocol": cell.protocol})
-        if services.journal is not None:
-            services.journal.record_cell(cell.workload, cell.protocol,
-                                         cell.cfg,
-                                         fault_plan=cell.fault_plan,
-                                         failed=failure.error)
+        })
 
     def _dump_violation(self, cell: Cell, violation) -> None:
         """Write a replayable trace-kind repro for a sanitizer trip."""
@@ -464,11 +424,11 @@ class ExperimentContext:
         ``(workload, protocol, cfg, placement, fault_plan)`` tuples
         (missing trailing elements take the context defaults).  Repeated
         and already-memoized cells are simulated at most once.  Workers
-        only compute — the parent memoizes and journals every fresh cell
-        in request order, so a parallel run's journal and tables are
-        byte-identical to a serial run's.  Cells a base completed before
-        this call can be derived from (:meth:`_base`) are rolled up from
-        it and never dispatched.
+        only compute — the parent memoizes, stores and manifests every
+        fresh cell in request order, so a parallel run's manifests and
+        tables are byte-identical to a serial run's.  Cells a base
+        completed before this call can be derived from (:meth:`_base`)
+        are rolled up from it and never dispatched.
         """
         cells = []
         for req in requests:
@@ -554,7 +514,7 @@ class ExperimentContext:
                     else:
                         prefetched[key] = result
 
-        # Journal/memoize every fresh cell in request order — store
+        # Complete every fresh cell in request order — store
         # replays, derived cells, parallel completions and serial runs
         # all land in the same deterministic sequence.
         for cell, key in fresh:

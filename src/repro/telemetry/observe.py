@@ -66,58 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "streams its intervals live from there)")
     parser.add_argument("--no-registry", action="store_true",
                         help="do not register the capture")
-    parser.add_argument("--push-metrics", default=None, metavar="URL",
-                        help="push this capture's interval windows to "
-                             "an 'observe --serve' collector (strictly "
-                             "out-of-band; artifacts on disk are "
-                             "byte-identical either way)")
-    parser.add_argument("--push-token", default=None, metavar="SECRET",
-                        help="bearer token for --push-metrics "
-                             "(default: $REPRO_OBSERVE_TOKEN)")
     return parser
-
-
-def _flat_counters(counters: dict) -> dict:
-    """Interval rows carry nested counters (per-link byte lists,
-    message-type dicts); the wire schema wants flat finite numbers, so
-    lists sum and nested dicts are skipped."""
-    flat = {}
-    for name, value in counters.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            flat[name] = value
-        elif isinstance(value, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in value):
-            flat[name] = sum(value)
-    return flat
-
-
-def push_intervals(args, rows) -> None:
-    """Push an observe capture's IntervalSampler windows, one window
-    record per bin.  Best-effort by construction: drops are counted
-    and reported on stderr, never raised."""
-    import os
-
-    from repro.telemetry.metrics import MetricsClient, cell_labels
-
-    client = MetricsClient(
-        args.push_metrics,
-        token=(args.push_token
-               or os.environ.get("REPRO_OBSERVE_TOKEN")),
-        run=str(args.out),
-        seed=args.seed,
-    )
-    labels = cell_labels(args.workload, args.protocol,
-                         engine=args.engine, placement=args.placement,
-                         source="observe")
-    for row in rows:
-        counters = _flat_counters(row.get("counters", {}))
-        if counters:
-            client.emit_window("interval", row["t0"], row["t1"],
-                               row.get("unit", "cycles"), counters,
-                               labels=labels)
-    client.close()
-    print(client.summary(), file=sys.stderr)
 
 
 def observe(args) -> Path:
@@ -186,8 +135,6 @@ def observe(args) -> Path:
     (out / "report.md").write_text(
         render_report(manifest, intervals, trace_doc)
     )
-    if getattr(args, "push_metrics", None):
-        push_intervals(args, intervals)
     return out
 
 

@@ -1,7 +1,7 @@
 """``python -m repro.experiments observe --serve`` — observability service.
 
-A long-running, stdlib-only HTTP service over the telemetry substrate:
-it discovers run/telemetry/store directories through the
+A long-running, stdlib-only, read-only HTTP service over the telemetry
+substrate: it discovers run/telemetry/store directories through the
 :class:`~repro.telemetry.session.RunRegistry` (which the sweep CLI
 registers into the moment a sweep starts), tails their artifacts, and
 answers three kinds of questions without ever re-simulating:
@@ -21,17 +21,11 @@ answers three kinds of questions without ever re-simulating:
   ``/store/cell/<key>`` expose the content-addressed
   :class:`~repro.experiments.store.ResultStore` as a query API (the
   same code path as ``python -m repro.experiments store``).
-* **What are remote sweeps pushing?**  ``POST /ingest`` is the
-  collector for the push-based metrics pipeline
-  (:mod:`repro.telemetry.metrics`): typed record batches from sweep
-  CLIs, fabric workers, and coordinators land in a CRC'd
-  ``metrics.jsonl`` plus in-memory rollups
-  (:mod:`repro.telemetry.tsdb`), served back as ``/metrics/query``
-  JSON, Prometheus-style ``/metrics`` text, and live ``metrics``
-  events on ``/events``.  With ``--serve-token`` (or
-  ``REPRO_OBSERVE_TOKEN``) configured, mutating endpoints require a
-  bearer token and each token scopes its pushes to a namespace, so
-  several users or fleets can share one collector.
+
+Every answer is read from files the sweeps already write — manifests,
+perf sidecars, ``fabric*.json``, the store's shards and the registry's
+``fleet`` records — so the service accepts GET requests only and holds
+no state of its own.
 
 SSE framing: each event is ``event: <type>`` + ``data: <one JSON
 line>`` + blank line; comment lines (``: tick``) are keepalives.
@@ -44,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import threading
@@ -57,9 +50,7 @@ from repro import __version__
 from repro.telemetry.aggregate import (DEFAULT_TOLERANCE, load_bench,
                                        load_run, regression_view,
                                        result_digest, run_summary)
-from repro.telemetry.metrics import TokenTable
 from repro.telemetry.session import DEFAULT_REGISTRY, RunRegistry
-from repro.telemetry.tsdb import METRICS_LOG, MetricsStore
 
 
 def _find_bench() -> Path:
@@ -83,8 +74,7 @@ class Observatory:
     def __init__(self, registry_dir=DEFAULT_REGISTRY, run_dirs=(),
                  store_dirs=(), bench_path=None,
                  tolerance: float = DEFAULT_TOLERANCE,
-                 poll: float = 0.5, metrics: MetricsStore = None,
-                 tokens: TokenTable = None):
+                 poll: float = 0.5):
         self.registry_dir = Path(registry_dir) if registry_dir else None
         self.extra_run_dirs = [Path(d) for d in run_dirs]
         self.extra_store_dirs = [Path(d) for d in store_dirs]
@@ -92,12 +82,6 @@ class Observatory:
         self.tolerance = tolerance
         self.poll = poll
         self.started = time.time()
-        if metrics is None:
-            log = (self.registry_dir / METRICS_LOG
-                   if self.registry_dir else None)
-            metrics = MetricsStore(log)
-        self.metrics = metrics
-        self.tokens = tokens if tokens is not None else TokenTable()
 
     # -- discovery -----------------------------------------------------
 
@@ -180,15 +164,12 @@ class Observatory:
         return {"fleets": fleets}
 
     def healthz_payload(self) -> dict:
-        ingest = self.metrics.stats()
         return {
             "ok": True,
             "version": __version__,
             "uptime_seconds": round(time.time() - self.started, 3),
             "registry": str(self.registry_dir)
             if self.registry_dir else None,
-            "auth_required": self.tokens.required,
-            "ingest": ingest,
         }
 
     def store_scan_payload(self) -> dict:
@@ -290,40 +271,6 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, text: str, status: int = 200) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type",
-                         "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _bearer_token(self):
-        header = self.headers.get("Authorization", "")
-        scheme, _, credential = header.partition(" ")
-        if scheme.lower() == "bearer" and credential.strip():
-            return credential.strip()
-        return None
-
-    def _resolve_namespace(self):
-        """(authorized, namespace) for a mutating request.
-
-        With no token table, everything is authorized and the client's
-        claimed namespace (or the default) stands.  With tokens
-        configured, a missing or unknown bearer token is refused — and
-        counted — before the body is even parsed.
-        """
-        tokens = self.server.observatory.tokens
-        if not tokens.required:
-            return True, None
-        namespace = tokens.resolve(self._bearer_token())
-        if namespace is None:
-            self.server.observatory.metrics.unauthorized += 1
-            return False, None
-        return True, namespace
-
     def _start_sse(self) -> None:
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
@@ -356,14 +303,6 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
                 return self._send_html(DASHBOARD_HTML)
             if parts == ["healthz"]:
                 return self._send_json(obs.healthz_payload())
-            if parts == ["metrics"]:
-                return self._send_text(obs.metrics.prometheus_text())
-            if parts == ["metrics", "query"]:
-                return self._send_json(obs.metrics.query(
-                    namespace=query.get("namespace") or None,
-                    run=query.get("run") or None,
-                    metric=query.get("metric") or None,
-                ))
             if parts == ["runs"]:
                 return self._send_json(obs.runs_payload())
             if parts == ["regressions"]:
@@ -388,48 +327,6 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
                 {"error": f"no route for {url.path}"}, status=404)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream; nothing to salvage
-
-    def do_POST(self):
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if parts == ["ingest"]:
-                return self._ingest()
-            return self._send_json(
-                {"error": f"no route for POST {url.path}"}, status=404)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _ingest(self) -> None:
-        """Collector endpoint for pushed metric batches.
-
-        Auth is checked before the body is read; the body is bounded;
-        validation rejections come back in the 200 reply so the client
-        can count them.  Anything structurally unusable is a 400 — the
-        client treats 4xx as non-retryable by design."""
-        obs = self.server.observatory
-        authorized, namespace = self._resolve_namespace()
-        if not authorized:
-            return self._send_json(
-                {"error": "missing or unknown bearer token"},
-                status=401)
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
-        if length <= 0 or length > 8 * 1024 * 1024:
-            return self._send_json(
-                {"error": "missing or oversized body"}, status=400)
-        try:
-            payload = json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return self._send_json(
-                {"error": "body is not JSON"}, status=400)
-        try:
-            reply = obs.metrics.ingest(payload, namespace=namespace)
-        except ValueError as exc:
-            return self._send_json({"error": str(exc)}, status=400)
-        return self._send_json(reply)
 
     # -- SSE streams ---------------------------------------------------
 
@@ -475,20 +372,12 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
         known_runs: set = set()
         known_cells: dict = {}
         known_sidecars: set = set()
-        # Start the metrics cursor at "now": the snapshot covers the
-        # past; the stream is for what happens from here on.
-        metrics_cursor, _ = obs.metrics.events_since(1 << 62)
         payload = obs.runs_payload()
         self._sse("snapshot", {
             "runs": len(payload["runs"]),
             "stores": len(payload["stores"]),
-            "metric_series": obs.metrics.stats()["series"],
         })
         while True:
-            metrics_cursor, pushed = obs.metrics.events_since(
-                metrics_cursor)
-            for event in pushed:
-                self._sse("metrics", event)
             for directory in obs.run_dirs():
                 name = str(directory)
                 if name not in known_runs:
@@ -549,17 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--poll", type=float, default=0.5,
                         metavar="SECONDS",
                         help="SSE tail/poll interval (default 0.5)")
-    parser.add_argument("--serve-token", action="append", default=[],
-                        metavar="[NS=]SECRET",
-                        help="require this bearer token on mutating "
-                             "endpoints (repeatable; NS= names the "
-                             "token's namespace, else one is derived "
-                             "from the secret; REPRO_OBSERVE_TOKEN "
-                             "adds another)")
-    parser.add_argument("--metrics-window", type=float, default=10.0,
-                        metavar="SECONDS",
-                        help="rollup window width for pushed metrics "
-                             "(default 10)")
     parser.add_argument("--verbose", action="store_true",
                         help="log every request to stderr")
     return parser
@@ -567,20 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def create_server(args) -> ObservatoryServer:
     bench = Path(args.bench) if args.bench else _find_bench()
-    specs = list(args.serve_token or [])
-    env_token = os.environ.get("REPRO_OBSERVE_TOKEN")
-    if env_token:
-        specs.append(env_token)
-    registry_dir = Path(args.registry) if args.registry else None
-    metrics = MetricsStore(
-        registry_dir / METRICS_LOG if registry_dir else None,
-        window=args.metrics_window,
-    )
     observatory = Observatory(
         registry_dir=args.registry, run_dirs=args.runs,
         store_dirs=args.store, bench_path=bench,
         tolerance=args.tolerance, poll=args.poll,
-        metrics=metrics, tokens=TokenTable(specs),
     )
     return ObservatoryServer((args.host, args.port), observatory,
                              quiet=not args.verbose)
@@ -722,14 +590,6 @@ lease, reclaim cause, retry, and rejected frame)</span></h2>
   <th class="num">stale</th><th class="num">auth rej</th>
   <th class="num">byes</th>
 </tr></thead><tbody></tbody></table>
-<h2>Fleet throughput <span class="sub">(pushed metrics: per-cell
-engine ops/sec rollups from /metrics/query — empty until a sweep runs
-with --push-metrics)</span></h2>
-<table id="fleet-throughput"><thead><tr>
-  <th>namespace</th><th>run</th><th>cell</th><th>engine</th>
-  <th class="num">samples</th><th class="num">last ops/sec</th>
-  <th class="num">min</th><th class="num">max</th>
-</tr></thead><tbody></tbody></table>
 <h2>Geomean-speedup drift <span class="sub">(per protocol, newest run
 vs earliest; simulated results are deterministic, so drift means the
 code changed the physics)</span></h2>
@@ -834,13 +694,11 @@ const esc = s => String(s).replace(/[&<>"']/g, c => ({
   '"': "&quot;", "'": "&#39;"}[c]));
 
 async function refresh() {
-  const [runs, reg, store, fleet, pushed] = await Promise.all([
+  const [runs, reg, store, fleet] = await Promise.all([
     fetch("/runs").then(r => r.json()),
     fetch("/regressions").then(r => r.json()),
     fetch("/store/scan").then(r => r.json()),
     fetch("/fleet").then(r => r.json()),
-    fetch("/metrics/query?metric=cell.ops_per_second")
-      .then(r => r.json()),
   ]);
   const bench = reg.bench || {};
   document.getElementById("tiles").innerHTML =
@@ -894,19 +752,6 @@ async function refresh() {
         `<td class="num">${fmt(s.auth_rejected)}</td>` +
         `<td class="num">${fmt(s.worker_byes)}</td></tr>`;
     }).join("") || "<tr><td colspan=10>no coordinator stats yet</td></tr>";
-  document.querySelector("#fleet-throughput tbody").innerHTML =
-    (pushed.series || []).map(s => {
-      const l = s.labels || {};
-      const cell = [l.workload, l.protocol, l.placement]
-        .filter(Boolean).join(" / ");
-      return `<tr><td>${esc(s.namespace)}</td><td>${esc(s.run)}</td>` +
-        `<td>${esc(cell || "—")}</td><td>${esc(l.engine || "—")}</td>` +
-        `<td class="num">${fmt(s.count)}</td>` +
-        `<td class="num">${fmt(s.last)}</td>` +
-        `<td class="num">${fmt(s.min)}</td>` +
-        `<td class="num">${fmt(s.max)}</td></tr>`;
-    }).join("") || "<tr><td colspan=8>no pushed metrics yet — sweep " +
-      "with --push-metrics URL</td></tr>";
   document.querySelector("#drift tbody").innerHTML =
     Object.entries(reg.speedup_drift || {}).map(([proto, d]) =>
       `<tr><td>${proto}</td><td class="num">${d.first.toFixed(3)}</td>` +
@@ -920,16 +765,14 @@ async function refresh() {
 function follow() {
   const log = document.getElementById("events");
   const source = new EventSource("/events");
-  for (const kind of ["snapshot", "run", "cell", "sidecar", "metrics",
-                      "end"]) {
+  for (const kind of ["snapshot", "run", "cell", "sidecar", "end"]) {
     source.addEventListener(kind, ev => {
       const line = document.createElement("div");
       line.textContent = `${new Date().toLocaleTimeString()} ` +
         `${kind} ${ev.data}`;
       log.prepend(line);
       while (log.childElementCount > 50) log.lastChild.remove();
-      if (kind === "cell" || kind === "sidecar"
-          || kind === "metrics") refresh();
+      if (kind === "cell" || kind === "sidecar") refresh();
     });
   }
 }

@@ -97,3 +97,17 @@ N02 = NodeId(0, 2)
 N10 = NodeId(1, 0)
 N11 = NodeId(1, 1)
 N20 = NodeId(2, 0)
+
+
+@pytest.fixture
+def manifests():
+    """A sweep's byte-identity witness: ``manifests(ctx, telemetry_dir)``
+    is its manifest slugs in completion order plus every
+    ``*.metrics.json`` under ``telemetry_dir``, byte for byte."""
+
+    def witness(ctx, telemetry_dir):
+        return (list(ctx.manifests_written),
+                {path.name: path.read_bytes()
+                 for path in sorted(telemetry_dir.glob("*.metrics.json"))})
+
+    return witness

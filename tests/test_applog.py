@@ -1,10 +1,10 @@
-"""The one durable log and the four logs built on it.
+"""The one durable log and the two logs built on it.
 
 :class:`~repro.applog.AppendLog` owns the format, the torn-tail heal,
 warn-and-skip reading and compaction.  The parametrized tests drive the
-same contract through each owner's public API — the journal, the
-results store, the run registry and the metrics collector — so a log
-that stops using the shared module shows up here.
+same contract through each owner's public API — the results store and
+the run registry — so a log that stops using the shared module shows up
+here.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ from pathlib import Path
 import pytest
 
 from repro.applog import AppendLog, atomic_write, decode, encode
-from repro.config import SystemConfig
 from repro.experiments.journal import RunJournal
 from repro.experiments.store import ResultStore
 from repro.faults.chaos import truncate_tail
-from repro.telemetry.metrics import METRICS_SCHEMA
 from repro.telemetry.session import RunRegistry
-from repro.telemetry.tsdb import MetricsStore
 
-CFG = SystemConfig.paper_scaled(1 / 64)
 TAGS = ("alpha", "bravo", "charlie")
 
 
@@ -42,21 +38,9 @@ class FakeResult:
 
 
 # ----------------------------------------------------------------------
-# The four owners, behind one interface: append a tagged record, read
+# The two owners, behind one interface: append a tagged record, read
 # the tags back in order, name the file.
 # ----------------------------------------------------------------------
-
-
-class JournalLog:
-    def append(self, root, tag):
-        RunJournal(root, context_key={}).record_cell(tag, "hmg", CFG)
-
-    def read(self, root):
-        return [r["workload"]
-                for r in RunJournal(root, context_key={}).cells()]
-
-    def path(self, root):
-        return root / "cells.jsonl"
 
 
 class StoreLog:
@@ -87,24 +71,7 @@ class RegistryLog:
         return root / "registry.jsonl"
 
 
-class MetricsLog:
-    def append(self, root, tag):
-        root.mkdir(parents=True, exist_ok=True)
-        MetricsStore(self.path(root), replay=False).ingest({
-            "v": METRICS_SCHEMA, "run": "r", "source": "test",
-            "records": [{"metric": tag, "value": 1.0, "t": 1.0}],
-        })
-
-    def read(self, root):
-        return [s["metric"]
-                for s in MetricsStore(self.path(root)).query()["series"]]
-
-    def path(self, root):
-        return root / "metrics.jsonl"
-
-
-LOGS = {"journal": JournalLog(), "store": StoreLog(),
-        "registry": RegistryLog(), "metrics": MetricsLog()}
+LOGS = {"store": StoreLog(), "registry": RegistryLog()}
 
 
 @pytest.fixture(params=sorted(LOGS))

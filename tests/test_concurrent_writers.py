@@ -1,7 +1,7 @@
 """Two processes appending to one durable log heal safely.
 
-The store shards, the journal, the run registry and the metrics log
-are all :class:`~repro.applog.AppendLog` files: single-write O_APPEND
+The store shards and the run registry are both
+:class:`~repro.applog.AppendLog` files: single-write O_APPEND
 records plus a heal-on-first-append of any torn trailing line.  That
 contract has to hold when *two* writer processes share the file: each
 may race the torn-tail probe, but because every record lands in one
@@ -16,16 +16,10 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.config import SystemConfig
-from repro.experiments.journal import RunJournal
 from repro.experiments.store import ResultStore
 from repro.faults.chaos import truncate_tail
-from repro.telemetry.metrics import METRICS_SCHEMA
 from repro.telemetry.session import RunRegistry
-from repro.telemetry.tsdb import MetricsStore
 
-CFG = SystemConfig.paper_scaled(1 / 64)
-CONTEXT = {"suite": "concurrent-writers"}
 PER_WRITER = 20
 
 
@@ -53,26 +47,10 @@ def _store_writer(root, tag):
     store.close()
 
 
-def _journal_writer(root, tag):
-    journal = RunJournal(root, context_key=CONTEXT)
-    journal.begin_experiment(f"writer-{tag}")
-    for i in range(PER_WRITER):
-        journal.record_cell("CoMD", f"{tag}{i}", CFG,
-                            result=FakeResult(cycles=i + 1))
-    journal.close()
-
-
 def _registry_writer(root, tag):
     registry = RunRegistry(root)
     for i in range(PER_WRITER):
         registry.register_run(root / f"{tag}{i}", status="completed")
-
-
-def _metrics_writer(path, tag):
-    store = MetricsStore(path, replay=False)
-    for i in range(PER_WRITER):
-        store.ingest({"v": METRICS_SCHEMA, "run": f"{tag}{i}",
-                      "records": [{"metric": "m", "value": 1.0}]})
 
 
 def _expected():
@@ -141,35 +119,6 @@ class TestStoreConcurrentWriters:
         assert complete >= 2 * PER_WRITER
 
 
-class TestJournalConcurrentWriters:
-    def test_torn_tail_healed_no_loss_no_dup(self, tmp_path, capsys):
-        root = tmp_path / "journal"
-        seed = RunJournal(root, context_key=CONTEXT)
-        seed.begin_experiment("seed")
-        seed.record_cell("CoMD", "seed", CFG, result=FakeResult(cycles=9))
-        seed.close()
-        cells = root / "cells.jsonl"
-        truncate_tail(cells, nbytes=5)  # crash mid-append
-
-        _run_writers(_journal_writer, root)
-
-        reader = RunJournal(root, context_key=CONTEXT)
-        assert reader.compatible  # same context: meta.json agreed
-        records = reader.cells()
-        protocols = [r["protocol"] for r in records]
-        expected = [f"{tag}{i}" for tag in ("a", "b")
-                    for i in range(PER_WRITER)]
-        assert sorted(protocols) == sorted(expected)
-        assert len(set(protocols)) == len(protocols)  # no double-counts
-        # The torn seed record is gone; everything else is intact with
-        # its payload fields readable.
-        assert "seed" not in protocols
-        for record in records:
-            assert record["workload"] == "CoMD"
-            assert record["cycles"] >= 1
-        reader.close()
-
-
 class TestRegistryConcurrentWriters:
     def test_torn_tail_healed_no_loss_no_dup(self, tmp_path, capsys):
         root = tmp_path / "reg"
@@ -186,21 +135,3 @@ class TestRegistryConcurrentWriters:
         assert all(raw.count(f'/{name}"'.encode()) == 1 for name in names)
         assert all(e["info"]["status"] == "completed" for e in entries)
         assert "skipped 1 corrupt record(s)" in capsys.readouterr().err
-
-
-class TestMetricsConcurrentWriters:
-    def test_torn_tail_healed_no_loss_no_dup(self, tmp_path):
-        log = tmp_path / "reg" / "metrics.jsonl"
-        _metrics_writer(log, "seed")
-        truncate_tail(log, nbytes=5)
-
-        _run_writers(_metrics_writer, log)
-
-        reborn = MetricsStore(log)
-        series = reborn.query()["series"]
-        # One batch per run survived, each replayed exactly once (the
-        # torn tail swallowed only the last seed batch).
-        runs = [s["run"] for s in series if not s["run"].startswith("seed")]
-        assert sorted(runs) == _expected()
-        assert all(s["count"] == 1 for s in series)
-        assert reborn.stats()["corrupt_log_lines"] == 1

@@ -9,7 +9,6 @@ import pytest
 from repro.config import SystemConfig
 from repro.experiments import cli
 from repro.experiments.fabric import FabricStats, retry_delay
-from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import Cell, cell_fingerprint
 from repro.experiments.runner import ExperimentContext
 from repro.faults.chaos import ChaosError, ChaosPlan, ChaosSpec
@@ -45,9 +44,9 @@ class TargetedChaos(ChaosPlan):
         return self.attack
 
 
-def _sweep(jobs, chaos=None, journal=None, **kwargs):
+def _sweep(jobs, chaos=None, **kwargs):
     ctx = ExperimentContext(CFG, workloads=WORKLOADS, jobs=jobs,
-                            journal=journal, **QUICK, **kwargs)
+                            **QUICK, **kwargs)
     if chaos is not None:
         ctx._executor.chaos = chaos
     table = ctx.speedup_table(PROTOCOLS)
@@ -89,18 +88,15 @@ class TestChaosPlan:
 
 
 class TestCrashRecovery:
-    def test_sigkill_recovery_byte_identical(self, tmp_path):
-        serial_journal = RunJournal(tmp_path / "serial", context_key={})
-        reference, _ = _sweep(1, journal=serial_journal)
-        serial_journal.close()
+    def test_sigkill_recovery_byte_identical(self, tmp_path, manifests):
+        reference, serial = _sweep(1, telemetry_dir=tmp_path / "serial")
 
         chaos = TargetedChaos(
             [_fingerprint("CoMD", "hmg"), _fingerprint("mst", "sw")],
             "kill",
         )
-        chaos_journal = RunJournal(tmp_path / "chaos", context_key={})
-        recovered, ctx = _sweep(3, chaos=chaos, journal=chaos_journal)
-        chaos_journal.close()
+        recovered, ctx = _sweep(3, chaos=chaos,
+                                telemetry_dir=tmp_path / "chaos")
 
         assert recovered.rows == reference.rows
         assert not ctx.failed_cells
@@ -108,8 +104,9 @@ class TestCrashRecovery:
         assert stats.worker_deaths >= 2
         assert stats.respawns >= 2
         assert stats.retries >= 2
-        assert ((tmp_path / "serial" / "cells.jsonl").read_bytes()
-                == (tmp_path / "chaos" / "cells.jsonl").read_bytes())
+        assert serial.manifests_written
+        assert (manifests(ctx, tmp_path / "chaos")
+                == manifests(serial, tmp_path / "serial"))
 
     def test_hung_cell_timeout_recovery(self):
         reference, _ = _sweep(1)
@@ -166,52 +163,21 @@ class TestGracefulDegradation:
         assert all(v is None for v in table.rows["CoMD"].values())
         assert all(v is not None for v in table.rows["mst"].values())
 
-    def test_failed_cells_journaled(self, tmp_path):
-        journal = RunJournal(tmp_path / "j", context_key={})
+    def test_failed_cells_are_not_stored(self, tmp_path):
+        """A gap is never stored, so the next run over the same store
+        replays every other cell and retries the gap."""
         chaos = TargetedChaos([_fingerprint("mst", "sw")], "error",
                               attempts=None)
-        _sweep(2, chaos=chaos, max_retries=0, journal=journal)
-        journal.close()
-        failed = [r for r in
-                  RunJournal(tmp_path / "j", context_key={}).cells()
-                  if "failed" in r]
-        assert len(failed) == 1
-        assert failed[0]["workload"] == "mst"
-        assert "cycles" not in failed[0]
-
-
-class TestJournalHardening:
-    def _record_some(self, root, n=3):
-        journal = RunJournal(root, context_key={})
-        for i in range(n):
-            journal.record_cell(f"w{i}", "hmg", CFG)
-        journal.close()
-        return root / "cells.jsonl"
-
-    def test_lines_carry_crc(self, tmp_path):
-        path = self._record_some(tmp_path / "j")
-        for line in path.read_text().splitlines():
-            assert "crc" in json.loads(line)
-
-    def test_crc_mismatch_skipped_with_warning(self, tmp_path, capsys):
-        path = self._record_some(tmp_path / "j")
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"w1"', '"tampered"')
-        path.write_text("\n".join(lines) + "\n")
-        records = RunJournal(tmp_path / "j", context_key={}).cells()
-        assert [r["workload"] for r in records] == ["w0", "w2"]
-        assert "checksum mismatch" in capsys.readouterr().err
-
-    def test_torn_tail_healed_on_next_append(self, tmp_path, capsys):
-        from repro.faults.chaos import truncate_tail
-
-        path = self._record_some(tmp_path / "j")
-        truncate_tail(path, nbytes=5)
-        journal = RunJournal(tmp_path / "j", context_key={})
-        journal.record_cell("fresh", "hmg", CFG)
-        journal.close()
-        records = RunJournal(tmp_path / "j", context_key={}).cells()
-        assert [r["workload"] for r in records] == ["w0", "w1", "fresh"]
+        table, ctx = _sweep(2, chaos=chaos, max_retries=0,
+                            store=tmp_path / "s")
+        assert table.rows["mst"]["sw"] is None
+        cells = len(WORKLOADS) * (1 + len(PROTOCOLS))
+        assert ctx.store.puts == cells - 1
+        ctx.store.close()
+        retried, ctx = _sweep(1, store=tmp_path / "s")
+        assert retried.rows["mst"]["sw"] is not None
+        assert ctx.store.hits == cells - 1
+        assert ctx.store.puts == 1
 
 
 class TestCliIntegration:

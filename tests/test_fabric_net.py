@@ -39,7 +39,6 @@ from repro.experiments.fabric_net import (
     lease_ttl_for,
     parse_address,
 )
-from repro.experiments.journal import RunJournal
 from repro.experiments.runner import ExperimentContext
 from repro.faults.chaos import (
     HOST_ATTACKS,
@@ -350,26 +349,17 @@ class TestStatsSnapshot:
             fleet = coord.fleet_snapshot()
             assert fleet["stats"] == coord.stats_snapshot()
 
-    def test_snapshot_flows_to_registry_and_metrics(self, tmp_path):
-        from repro.telemetry.metrics import MetricsClient
-
+    def test_snapshot_flows_to_registry(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
         fleet_dir = tmp_path / "sweep"
         fleet_dir.mkdir()
-        client = MetricsClient("http://127.0.0.1:9", autoflush=False,
-                               max_attempts=1, retry_backoff=0.001)
         with NetFabricCoordinator(("127.0.0.1", 0), registry=registry,
-                                  fleet_dir=fleet_dir,
-                                  metrics=client) as coord:
+                                  fleet_dir=fleet_dir) as coord:
             coord.stats.reclaims = 2
             coord._publish_fleet(status="running", force=True)
-        fleets = registry.fleets()
-        assert fleets[0]["info"]["stats"]["reclaims"] == 2
-        emitted = {record["metric"]: record["value"]
-                   for record in client._buffer}
-        assert emitted["fabric.reclaims"] == 2
-        assert emitted["fabric.workers_connected"] == 0
-        client.close()
+        stats = registry.fleets()[0]["info"]["stats"]
+        assert stats["reclaims"] == 2
+        assert stats["workers_connected"] == 0
 
 
 class TestWorkerCli:
@@ -495,19 +485,19 @@ def _spawn_worker(address, attacks=None, authkey=None):
 
 
 class TestDistributedRecovery:
-    def test_kill_and_dup_recover_byte_identical(self, tmp_path):
-        serial_journal = RunJournal(tmp_path / "serial", context_key={})
+    def test_kill_and_dup_recover_byte_identical(self, tmp_path,
+                                                 manifests):
         serial_ctx = ExperimentContext(CFG, workloads=WORKLOADS,
-                                       journal=serial_journal, **QUICK)
+                                       telemetry_dir=tmp_path / "serial",
+                                       **QUICK)
         reference = serial_ctx.speedup_table(PROTOCOLS)
-        serial_journal.close()
 
         registry = RunRegistry(tmp_path / "reg")
         fleet_dir = tmp_path / "fleet"
         fleet_dir.mkdir()
-        journal = RunJournal(tmp_path / "dist", context_key={})
         ctx = ExperimentContext(
-            CFG, workloads=WORKLOADS, journal=journal, **QUICK,
+            CFG, workloads=WORKLOADS, telemetry_dir=tmp_path / "dist",
+            **QUICK,
             listen="127.0.0.1:0", lease_ttl=5.0, min_workers=1,
             fleet_registry=registry, fleet_dir=fleet_dir,
             fabric_authkey="fleet-key",  # recovery over the authed wire
@@ -518,14 +508,14 @@ class TestDistributedRecovery:
                    _spawn_worker(address, "dup", authkey="fleet-key")]
         try:
             recovered = ctx.speedup_table(PROTOCOLS)
-            journal.close()
             stats = coordinator.stats
             ctx.close()
 
             assert recovered.rows == reference.rows
             assert not ctx.failed_cells
-            assert ((tmp_path / "serial" / "cells.jsonl").read_bytes()
-                    == (tmp_path / "dist" / "cells.jsonl").read_bytes())
+            assert serial_ctx.manifests_written
+            assert (manifests(ctx, tmp_path / "dist")
+                    == manifests(serial_ctx, tmp_path / "serial"))
             assert stats.worker_eofs >= 1  # the SIGKILLed worker
             assert stats.reclaims >= 1
             assert stats.duplicate_results >= 1

@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.experiments import cli
-from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import (
     Cell,
     cell_key,
@@ -127,17 +126,16 @@ class TestDeterminism:
                                      **QUICK)
         assert _table(serial, PLAN).rows == _table(parallel, PLAN).rows
 
-    def test_parallel_journal_matches_serial(self, tmp_path):
-        tables = {}
+    def test_parallel_manifests_match_serial(self, tmp_path, manifests):
+        tables, written = {}, {}
         for label, jobs in (("serial", 1), ("parallel", 3)):
-            journal = RunJournal(tmp_path / label, context_key={"j": 1})
             ctx = ExperimentContext(CFG, workloads=WORKLOADS, jobs=jobs,
-                                    journal=journal, **QUICK)
+                                    telemetry_dir=tmp_path / label,
+                                    **QUICK)
             tables[label] = _table(ctx)
-            journal.close()
-        a = (tmp_path / "serial" / "cells.jsonl").read_bytes()
-        b = (tmp_path / "parallel" / "cells.jsonl").read_bytes()
-        assert a == b
+            written[label] = manifests(ctx, tmp_path / label)
+        assert written["serial"][0]
+        assert written["serial"] == written["parallel"]
         assert tables["serial"].rows == tables["parallel"].rows
 
     def test_parallel_with_trace_cache_matches(self, tmp_path):
@@ -246,7 +244,8 @@ class TestSweepVariants:
     def _run(self, root, capsys, *extra):
         args = [*self.SWEEPS, "--scale", str(1 / 64), "--ops-scale",
                 "0.05", "--workloads", *WORKLOADS, "--journal",
-                str(root / "journal"), *extra]
+                str(root / "journal"), "--telemetry", str(root / "tel"),
+                "--no-registry", *extra]
         assert cli.main(args) == 0
         out = "\n".join(
             line for line in capsys.readouterr().out.splitlines()
@@ -254,13 +253,16 @@ class TestSweepVariants:
         results = {}
         for path in sorted((root / "journal" / "results").glob("*.json")):
             results[path.name] = json.loads(path.read_text())
-        return (out, (root / "journal" / "cells.jsonl").read_bytes(),
-                results)
+        tel = root / "tel"
+        telemetry = {path.name: path.read_bytes() for path in
+                     [tel / "run.json", *sorted(tel.glob("*.metrics.json"))]}
+        return out, telemetry, results
 
     def test_jobs_and_trace_cache_do_not_change_output(self, tmp_path,
                                                        capsys):
         serial = self._run(tmp_path / "serial", capsys)
         assert set(serial[2]) == {f"{s}.json" for s in self.SWEEPS}
+        assert "run.json" in serial[1] and len(serial[1]) > 1
         for label, extra in (
                 ("jobs", ["--jobs", "2"]),
                 ("cached", ["--trace-cache", str(tmp_path / "tc1")]),
@@ -350,14 +352,13 @@ class TestSubExperiments:
         assert all(flag is True for _, flag in sanitized)
 
 
-class TestJournalContents:
+class TestManifestContents:
     def test_fault_plan_cells_are_labelled(self, tmp_path):
-        journal = RunJournal(tmp_path / "j", context_key={})
         ctx = ExperimentContext(CFG, workloads=WORKLOADS, jobs=2,
-                                journal=journal, fault_plan=PLAN,
+                                telemetry_dir=tmp_path, fault_plan=PLAN,
                                 **QUICK)
         ctx.run_many([("CoMD", "hmg"), ("mst", "sw")])
-        journal.close()
-        with open(tmp_path / "j" / "cells.jsonl") as fh:
-            records = [json.loads(line) for line in fh]
-        assert [r["fault_plan"] for r in records] == [PLAN.name] * 2
+        records = [json.loads((tmp_path / f"{slug}.metrics.json")
+                              .read_text())["cell"]
+                   for slug in ctx.manifests_written]
+        assert [r["fault_plan"]["name"] for r in records] == [PLAN.name] * 2

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.config import SystemConfig
-from repro.experiments import cli
-from repro.experiments.journal import RunJournal, config_key
-from repro.experiments.runner import ExperimentContext
+from repro.engine.simulator import simulate
+from repro.experiments import cli, runner
+from repro.experiments.journal import RunJournal
+from repro.experiments.runner import ExperimentContext, ExperimentResult
 
 
 CFG = SystemConfig.paper_scaled(1 / 64)
@@ -21,35 +24,37 @@ def _cli(tmp_path, *extra):
             "--journal", str(tmp_path / "journal"), *extra]
 
 
+def _simulated(monkeypatch, interrupt_after=None):
+    """Record the (workload, protocol) of every cell the runner
+    simulates; with ``interrupt_after``, Ctrl-C the run as the next
+    cell starts."""
+    calls = []
+
+    def recording(trace, cfg, **kwargs):
+        if len(calls) == interrupt_after:
+            raise KeyboardInterrupt
+        calls.append((kwargs["workload_name"], kwargs["protocol"]))
+        return simulate(trace, cfg, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate", recording)
+    return calls
+
+
+def _figures(out):
+    """Printed output minus the wall-clock trailers."""
+    return [line for line in out.splitlines()
+            if not (line.startswith("[") and line.endswith("]"))]
+
+
 class TestJournal:
-    def test_cells_are_recorded_and_replayable(self, tmp_path):
-        journal = RunJournal(tmp_path / "j", context_key={"seed": 1})
-        ctx = ExperimentContext(CFG, journal=journal, **QUICK)
-        journal.begin_experiment("probe")
-        ctx.run("RNN_FW", "hmg")
-        journal.close()
-        cells = RunJournal(tmp_path / "j", context_key={"seed": 1}).cells()
-        assert len(cells) == 1
-        assert cells[0]["experiment"] == "probe"
-        assert cells[0]["workload"] == "RNN_FW"
-        assert cells[0]["protocol"] == "hmg"
-        assert cells[0]["config"] == config_key(CFG)
-        assert cells[0]["cycles"] > 0
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        journal = RunJournal(tmp_path / "j", context_key={})
-        journal.record_cell("w", "hmg", CFG)
-        journal.close()
-        with open(tmp_path / "j" / "cells.jsonl", "a") as fh:
-            fh.write('{"experiment": "crashed mid-wr')
-        assert len(RunJournal(tmp_path / "j", context_key={}).cells()) == 1
-
     def test_context_mismatch_blocks_reuse(self, tmp_path):
         a = RunJournal(tmp_path / "j", context_key={"seed": 1})
         assert a.compatible
+        a.record_experiment(ExperimentResult("probe", "Probe", "text"))
+        assert a.completed("probe")["text"] == "text"
         b = RunJournal(tmp_path / "j", context_key={"seed": 2})
         assert not b.compatible
-        assert b.completed_ids() == []
+        assert b.completed("probe") is None
 
 
 class TestResume:
@@ -90,6 +95,66 @@ class TestResume:
         captured = capsys.readouterr()
         assert "cached from journal" not in captured.out
         assert "different settings" in captured.err
+
+    def test_journal_resumes_after_a_run_under_other_settings(
+            self, tmp_path, capsys):
+        """A journal used once under other settings resumes under the
+        settings of its latest run: it records them in meta.json."""
+        assert cli.main(_cli(tmp_path, "hwcost", "--seed", "1")) == 0
+        assert "different settings" not in capsys.readouterr().err
+        assert cli.main(_cli(tmp_path, "hwcost", "--seed", "2")) == 0
+        assert "different settings" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "journal" / "meta.json").read_text())
+        assert meta["seed"] == 2
+        assert cli.main(_cli(tmp_path, "hwcost", "--seed", "2",
+                             "--resume")) == 0
+        captured = capsys.readouterr()
+        assert "[hwcost: cached from journal]" in captured.out
+        assert "different settings" not in captured.err
+
+
+class TestJournalStore:
+    """Without ``--store``, ``--journal DIR`` keeps the results store in
+    ``DIR/store``: cells replay across experiments and across an
+    interrupted run."""
+
+    ARGS = ["--scale", str(1 / 64), "--ops-scale", "0.05",
+            "--workloads", "RNN_FW", "CoMD"]
+
+    def test_second_experiment_replays_the_first_ones_cells(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["fig9", *self.ARGS]) == 0
+        fresh = capsys.readouterr().out
+        assert cli.main(["fig8", *self.ARGS, "--journal", "J"]) == 0
+        capsys.readouterr()
+        calls = _simulated(monkeypatch)
+        assert cli.main(["fig9", *self.ARGS, "--journal", "J"]) == 0
+        captured = capsys.readouterr()
+        assert calls == []
+        assert _figures(captured.out) == _figures(fresh)
+        assert ", 0 newly stored" in captured.err
+        # Nothing outside the journal: no registry, no other store.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["J"]
+        assert sorted(p.name for p in (tmp_path / "J").iterdir()) == [
+            "meta.json", "results", "store"]
+
+    def test_interrupted_experiment_resumes_cell_by_cell(
+            self, tmp_path, capsys, monkeypatch):
+        everything = _simulated(monkeypatch)
+        assert cli.main(["fig8", *self.ARGS]) == 0
+        fresh = capsys.readouterr().out
+        args = ["fig8", *self.ARGS, "--journal", str(tmp_path / "J")]
+        done = _simulated(monkeypatch, interrupt_after=3)
+        assert cli.main(args) == 130
+        capsys.readouterr()
+        assert len(done) == 3
+        rest = _simulated(monkeypatch)
+        assert cli.main([*args, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert not set(done) & set(rest)
+        assert sorted(done + rest) == sorted(everything)
+        assert _figures(out) == _figures(fresh)
 
 
 class TestCLIErrors:

@@ -1,12 +1,16 @@
-"""Observability service: SSE streams, regression view, store API."""
+"""Observability service: SSE streams, regression view, store API,
+and the regression gate that reads it."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -97,15 +101,11 @@ class TestEndpoints:
         assert body["version"] == __version__
         assert body["uptime_seconds"] >= 0
         assert body["registry"].endswith("reg")
-        assert body["auth_required"] is False
-        assert body["ingest"]["batches"] == 0
         with urllib.request.urlopen(url + "/", timeout=10) as resp:
             html = resp.read().decode()
         assert resp.status == 200
         assert "<title>HMG repro" in html
         assert "/events" in html and "/regressions" in html
-        assert "/metrics/query" in html, \
-            "dashboard must render the pushed-metrics panel"
 
     def test_unknown_route_404s(self, service):
         _, url = service
@@ -238,178 +238,77 @@ class TestSSE:
         assert any("CoMD-noremote" in s for s in slugs)
 
 
-def _post_json(url, payload, token=None):
-    body = json.dumps(payload).encode()
+def _post_ingest(url):
+    """POST a metric batch at ``/ingest``; returns the HTTP status."""
+    body = json.dumps({"v": 1, "run": "r1", "source": "test", "records": [
+        {"metric": "cell.ops_per_second", "value": 1e6}]}).encode()
     request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"},
-        method="POST")
-    if token:
-        request.add_header("Authorization", f"Bearer {token}")
-    with urllib.request.urlopen(request, timeout=10) as resp:
-        return resp.status, json.loads(resp.read())
+        f"{url}/ingest", data=body, method="POST",
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            return resp.status
+    except urllib.error.HTTPError as err:
+        return err.code
 
 
-def _batch(records, run="r1", namespace=None):
-    payload = {"v": 1, "run": run, "source": "test", "records": records}
-    if namespace is not None:
-        payload["namespace"] = namespace
-    return payload
+def _tree(root):
+    return sorted((str(p), p.read_bytes() if p.is_file() else None)
+                  for p in root.rglob("*")) if root.exists() else []
 
 
-class TestIngest:
-    def test_ingest_rolls_up_and_queries(self, service):
+class TestReadOnly:
+    def test_post_ingest_gets_no_2xx_and_writes_nothing(self, service,
+                                                        tmp_path):
         _, url = service
-        status, reply = _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell.ops_per_second", "value": 100.0,
-             "labels": {"workload": "CoMD"}, "t": 1.0},
-            {"metric": "cell.ops_per_second", "value": 300.0,
-             "labels": {"workload": "CoMD"}, "t": 2.0},
-        ]))
-        assert (status, reply["accepted"], reply["rejected"]) \
-            == (200, 2, 0)
-        status, query = _get_json(
-            f"{url}/metrics/query?metric=cell.ops_per_second")
-        assert status == 200 and query["count"] == 1
-        series = query["series"][0]
-        assert series["namespace"] == "default"
-        assert series["count"] == 2
-        assert (series["min"], series["max"], series["last"]) \
-            == (100.0, 300.0, 300.0)
-        assert series["windows"][0]["sum"] == 400.0
+        RunRegistry(tmp_path / "reg").register_run(tmp_path / "run")
+        before = _tree(tmp_path / "reg")
+        assert not 200 <= _post_ingest(url) < 300
+        assert _tree(tmp_path / "reg") == before
 
-    def test_window_records_expand_per_counter(self, service):
+
+def _gate(argv, capsys):
+    """Run ``tools/regression_gate.py`` in-process: (exit code, output)."""
+    path = Path(__file__).resolve().parent.parent / "tools" \
+        / "regression_gate.py"
+    spec = importlib.util.spec_from_file_location("regression_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main(argv), capsys.readouterr()
+
+
+class TestRegressionGate:
+    def test_passes_on_a_run_with_simulated_cells(self, service,
+                                                  tmp_path, capsys):
         _, url = service
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell", "kind": "window", "t0": 0.0,
-             "t1": 500.0, "unit": "cycles",
-             "counters": {"ops": 50, "l2_misses": 7},
-             "labels": {"workload": "CoMD", "protocol": "hmg"},
-             "t": 1.0},
-        ]))
-        status, query = _get_json(f"{url}/metrics/query?metric=cell")
-        metrics = {s["metric"] for s in query["series"]}
-        assert {"cell.ops", "cell.l2_misses", "cell.span"} <= metrics
+        _sweep(tmp_path, RunRegistry(tmp_path / "reg"))
+        code, out = _gate(["--url", url, "--require-metrics"], capsys)
+        assert code == 0, out.out
+        assert "PASS" in out.out
 
-    def test_invalid_records_counted_not_fatal(self, service):
+    def test_require_metrics_fails_without_run_throughput(
+            self, service, tmp_path, capsys):
+        """Replayed cells report no engine throughput, and a pushed
+        sample cannot stand in for it: the gate fails."""
         _, url = service
-        status, reply = _post_json(f"{url}/ingest", _batch([
-            {"metric": "ok", "value": 1.0, "t": 1.0},
-            {"metric": "bad", "value": None},
-            {"value": 2.0},
-        ]))
-        assert status == 200
-        assert reply["accepted"] == 1 and reply["rejected"] == 2
-        assert reply["errors"]
-        _, health = _get_json(f"{url}/healthz")
-        assert health["ingest"]["rejected"] == 2
+        registry = RunRegistry(tmp_path / "reg")
+        _sweep(tmp_path, RunRegistry(tmp_path / "cold-reg"), label="cold",
+               store=tmp_path / "s")
+        _sweep(tmp_path, registry, label="warm", store=tmp_path / "s")
+        _post_ingest(url)
+        code, out = _gate(["--url", url, "--require-metrics"], capsys)
+        assert code == 1, out.out
+        assert "FAIL" in out.out
+        assert _gate(["--url", url], capsys)[0] == 0
 
-    def test_structurally_bad_batch_400s(self, service):
-        _, url = service
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post_json(f"{url}/ingest", {"records": []})
-        assert err.value.code == 400
-
-    def test_prometheus_exposition(self, service):
-        _, url = service
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "store.hit", "kind": "counter", "value": 1,
-             "t": 1.0},
-            {"metric": "store.hit", "kind": "counter", "value": 1,
-             "t": 2.0},
-        ]))
-        with urllib.request.urlopen(f"{url}/metrics",
-                                    timeout=10) as resp:
-            text = resp.read().decode()
-        assert resp.headers["Content-Type"].startswith("text/plain")
-        assert "# TYPE repro_store_hit_total counter" in text
-        assert 'repro_store_hit_total{namespace="default",run="r1"} '\
-               "2.0" in text
-        assert "repro_ingest_batches 1" in text
-
-    def test_events_stream_carries_metrics(self, service):
-        _, url = service
-        collected: list = []
-
-        def reader():
-            collected.extend(_read_sse(f"{url}/events", 2))
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        time.sleep(0.3)
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell.ops_per_second", "value": 5.0, "t": 1.0},
-        ]))
-        thread.join(timeout=15)
-        by_kind = dict(collected)
-        assert "metrics" in by_kind
-        assert by_kind["metrics"]["run"] == "r1"
-        assert by_kind["metrics"]["metrics"] \
-            == ["cell.ops_per_second"]
-
-    def test_metrics_log_survives_restart(self, service, tmp_path):
-        server, url = service
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell.ops_per_second", "value": 9.0, "t": 1.0},
-        ]))
-        reborn = _make_server(tmp_path)
-        try:
-            assert reborn.observatory.metrics.stats()["records"] == 1
-        finally:
-            reborn.server_close()
-
-
-class TestAuth:
-    @pytest.fixture
-    def secured(self, tmp_path):
-        server = _make_server(tmp_path,
-                              serve_token=["ci=supersecret", "barekey"])
-        rc: list = []
-        thread = threading.Thread(target=lambda: rc.append(
-            serve.run(server)), daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield server, f"http://{host}:{port}"
-        server.shutdown()
-        thread.join(timeout=10)
-
-    def test_unauthenticated_post_rejected_and_counted(self, secured):
-        _, url = secured
-        for token in (None, "wrong"):
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _post_json(f"{url}/ingest", _batch([
-                    {"metric": "x", "value": 1.0, "t": 1.0},
-                ]), token=token)
-            assert err.value.code == 401
-        _, health = _get_json(f"{url}/healthz")
-        assert health["auth_required"] is True
-        assert health["ingest"]["unauthorized"] == 2
-
-    def test_token_namespace_overrides_claim(self, secured):
-        _, url = secured
-        status, _reply = _post_json(
-            f"{url}/ingest",
-            _batch([{"metric": "x", "value": 1.0, "t": 1.0}],
-                   namespace="spoofed"),
-            token="supersecret")
-        assert status == 200
-        _, query = _get_json(f"{url}/metrics/query?metric=x")
-        assert [s["namespace"] for s in query["series"]] == ["ci"]
-
-    def test_bare_token_derives_namespace(self, secured):
-        _, url = secured
-        from repro.telemetry.metrics import derive_namespace
-
-        _post_json(f"{url}/ingest",
-                   _batch([{"metric": "y", "value": 1.0, "t": 1.0}]),
-                   token="barekey")
-        _, query = _get_json(f"{url}/metrics/query?metric=y")
-        assert [s["namespace"] for s in query["series"]] \
-            == [derive_namespace("barekey")]
-
-    def test_reads_stay_open(self, secured):
-        _, url = secured
-        status, _body = _get_json(f"{url}/regressions")
-        assert status == 200
+    def test_unreachable_service_exits_2(self, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        code, out = _gate(["--url", f"http://127.0.0.1:{port}",
+                           "--timeout", "2"], capsys)
+        assert code == 2
+        assert "cannot query" in out.err
 
 
 class TestShutdown:

@@ -183,42 +183,39 @@ class TestContextIntegration:
             r.cycles for r in cold_results
         ]
 
-    def test_warm_run_journals_identically(self, tmp_path):
-        from repro.experiments.journal import RunJournal
-
-        journals = {}
+    def test_warm_run_writes_identical_manifests(self, tmp_path,
+                                                 manifests):
+        written = {}
         for label in ("cold", "warm"):
-            journal = RunJournal(tmp_path / label, context_key={})
             ctx = ExperimentContext(CFG, store=tmp_path / "s",
-                                    journal=journal, **QUICK)
+                                    telemetry_dir=tmp_path / label,
+                                    **QUICK)
             ctx.run_many(self.GRID)
-            journal.close()
             ctx.store.close()
-            journals[label] = (
-                tmp_path / label / "cells.jsonl"
-            ).read_bytes()
-        assert journals["cold"] == journals["warm"]
+            written[label] = manifests(ctx, tmp_path / label)
+        assert len(written["cold"][0]) == len(self.GRID)
+        assert written["cold"] == written["warm"]
 
-    def test_partial_replay_journals_in_request_order(self, tmp_path):
+    def test_partial_replay_completes_in_request_order(self, tmp_path,
+                                                       manifests):
         """A batch that mixes store replays with simulated cells
-        journals them in request order, serially and under --jobs."""
-        from repro.experiments.journal import RunJournal
-
+        completes them in request order, serially and under --jobs."""
         first = ExperimentContext(CFG, store=tmp_path / "s", **QUICK)
         first.run("CoMD", "hmg")
         first.store.close()
-        order = {}
+        written = {}
         for jobs in (1, 2):
             shutil.copytree(tmp_path / "s", tmp_path / f"s{jobs}")
-            journal = RunJournal(tmp_path / f"j{jobs}", context_key={})
             ctx = ExperimentContext(CFG, store=tmp_path / f"s{jobs}",
-                                    journal=journal, jobs=jobs, **QUICK)
+                                    telemetry_dir=tmp_path / f"t{jobs}",
+                                    jobs=jobs, **QUICK)
             ctx.run_many(self.GRID[::-1])  # the stored hmg cell first
             ctx.close()
-            journal.close()
             ctx.store.close()
-            order[jobs] = [cell["protocol"] for cell in journal.cells()]
-        assert order[1] == order[2] == ["hmg", "sw", "noremote"]
+            written[jobs] = manifests(ctx, tmp_path / f"t{jobs}")
+        assert written[1] == written[2]
+        assert [slug.split("-")[1] for slug in written[1][0]] == [
+            "hmg", "sw", "noremote"]
 
     def test_store_respects_seed(self, tmp_path):
         seeded = ExperimentContext(CFG, store=tmp_path / "s", seed=1,

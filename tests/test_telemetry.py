@@ -332,9 +332,9 @@ class TestWriteOnChange:
 
 class TestWarmRerun:
     """A rerun replayed from the store re-records nothing it already
-    recorded: manifests, run.json and the journal's meta.json and
-    result files stay untouched, and only the perf sidecars change,
-    once, to the replay record."""
+    recorded: manifests, run.json and every journal file stay
+    untouched, and only the perf sidecars change, once, to the replay
+    record."""
 
     ARGS = ["fig8", "fig12", "faults", "--quick", "--workloads", "CoMD",
             "mst", "--no-registry"]
@@ -352,10 +352,9 @@ class TestWarmRerun:
 
     @staticmethod
     def _names(root):
-        """Every telemetry file, and the journal's files but its
-        append-only cells.jsonl."""
-        paths = [*(root / "T").iterdir(), root / "J" / "meta.json",
-                 *(root / "J" / "results").iterdir()]
+        """Every telemetry file and every journal file."""
+        paths = [*(root / "T").iterdir(),
+                 *(p for p in (root / "J").rglob("*") if p.is_file())]
         return sorted(str(path.relative_to(root)) for path in paths)
 
     def _snapshot(self, root):
@@ -368,10 +367,11 @@ class TestWarmRerun:
         files = self._snapshot(tmp_path)
         recorded = [n for n in files if not n.endswith(".perf.json")]
         sidecars = [n for n in files if n.endswith(".perf.json")]
-        assert "T/run.json" in recorded and "J/meta.json" in recorded
+        assert "T/run.json" in recorded
         assert len(sidecars) == 80
-        assert {"J/results/fig8.json", "J/results/faults.json"} <= set(
-            recorded)
+        assert [n for n in recorded if n.startswith("J/")] == [
+            "J/meta.json", "J/results/faults.json", "J/results/fig12.json",
+            "J/results/fig8.json"]
 
         assert self._run(tmp_path, capsys) == cold
         assert self._names(tmp_path) == sorted(files)
@@ -385,14 +385,12 @@ class TestWarmRerun:
                 "ops_per_second": 0.0}, name
 
         files = self._snapshot(tmp_path)
-        cells = (tmp_path / "J" / "cells.jsonl").stat().st_size
         assert self._run(tmp_path, capsys, "--jobs", "2") == cold
         assert self._names(tmp_path) == sorted(files)
         for name, (data, stamp) in files.items():
             st = (tmp_path / name).stat()
             assert (st.st_ino, st.st_mtime_ns) == stamp, name
             assert (tmp_path / name).read_bytes() == data, name
-        assert (tmp_path / "J" / "cells.jsonl").stat().st_size > cells
 
 
 class TestSweepProgress:

@@ -5,7 +5,8 @@ Runs one small fig8-shaped sweep three ways and asserts the
 coordinator/worker fabric's whole recovery story end to end:
 
 1. **Reference.**  An undisturbed serial run; its speedup table text
-   and journal bytes are the ground truth everything else must
+   and its cell manifests (the completion order and every
+   ``*.metrics.json`` byte) are the ground truth everything else must
    reproduce exactly.
 2. **Disturbed fleet.**  The same sweep served to N localhost workers
    (default 3) over the lease coordinator, each worker carrying a
@@ -15,7 +16,7 @@ coordinator/worker fabric's whole recovery story end to end:
    double-delivering its result frame).  The coordinator must reclaim
    every orphaned lease, re-dispatch to whatever is left, drop the
    duplicate frames, and finish with **zero** failed cells and a table
-   and journal byte-identical to the serial reference — with a results
+   and manifests byte-identical to the serial reference — with a results
    store attached, so recovery also populates the cross-run cache.
 3. **Warm store.**  A fresh serial context over that store must replay
    the whole sweep with zero engine simulations, still byte-identical.
@@ -40,7 +41,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.analysis.report import format_speedup_table  # noqa: E402
 from repro.config import SystemConfig  # noqa: E402
-from repro.experiments.journal import RunJournal  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     PROTOCOL_LABELS,
     ExperimentContext,
@@ -95,19 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_serial(cfg, args, *, journal_dir=None, store=None):
+def run_serial(cfg, args, *, telemetry_dir=None, store=None):
     """One undisturbed serial sweep; returns (table_text, context)."""
-    journal = None
-    if journal_dir is not None:
-        journal = RunJournal(journal_dir, context_key={"chaos": 1})
     ctx = ExperimentContext(
         cfg, seed=args.seed, ops_scale=args.ops_scale,
-        workloads=WORKLOADS, journal=journal, store=store,
+        workloads=WORKLOADS, store=store, telemetry_dir=telemetry_dir,
     )
     table = ctx.speedup_table(PROTOCOLS)
-    if journal is not None:
-        journal.close()
     return format_speedup_table(table, PROTOCOL_LABELS), ctx
+
+
+def manifests(ctx, telemetry_dir: Path) -> tuple:
+    """A sweep's byte-identity witness: its cell manifests in completion
+    order, and every ``*.metrics.json`` byte for byte."""
+    return (list(ctx.manifests_written),
+            {path.name: path.read_bytes()
+             for path in sorted(telemetry_dir.glob("*.metrics.json"))})
 
 
 def spawn_worker(address: str, attacks: str, blackhole_seconds: float):
@@ -155,18 +158,17 @@ def _gate(cfg, args, work: Path, workers: list) -> int:
 
     # 1. Undisturbed serial reference.
     t0 = time.perf_counter()
-    reference, _ = run_serial(cfg, args,
-                              journal_dir=work / "journal-serial")
-    ref_journal = (work / "journal-serial" / "cells.jsonl").read_bytes()
+    reference, ref_ctx = run_serial(cfg, args,
+                                    telemetry_dir=work / "tel-serial")
+    ref_manifests = manifests(ref_ctx, work / "tel-serial")
     print(f"dist-chaos: reference serial sweep in "
           f"{time.perf_counter() - t0:.1f}s")
 
     # 2. Disturbed distributed sweep with the store attached.
     store_dir = work / "store"
-    journal = RunJournal(work / "journal-dist", context_key={"chaos": 1})
     ctx = ExperimentContext(
         cfg, seed=args.seed, ops_scale=args.ops_scale,
-        workloads=WORKLOADS, journal=journal,
+        workloads=WORKLOADS, telemetry_dir=work / "tel-dist",
         store=ResultStore(store_dir),
         listen="127.0.0.1:0", lease_ttl=args.lease_ttl,
         max_retries=args.max_retries,
@@ -187,7 +189,6 @@ def _gate(cfg, args, work: Path, workers: list) -> int:
     t0 = time.perf_counter()
     disturbed = format_speedup_table(ctx.speedup_table(PROTOCOLS),
                                      PROTOCOL_LABELS)
-    journal.close()
     stats = coordinator.stats
     ctx.close()
     print(f"dist-chaos: disturbed sweep recovered in "
@@ -199,9 +200,8 @@ def _gate(cfg, args, work: Path, workers: list) -> int:
     check(not ctx.failed_cells,
           f"bounded chaos must always recover; failed cells: "
           f"{ctx.failed_cells}")
-    dist_journal = (work / "journal-dist" / "cells.jsonl").read_bytes()
-    check(dist_journal == ref_journal,
-          "disturbed sweep journal is not byte-identical to serial")
+    check(manifests(ctx, work / "tel-dist") == ref_manifests,
+          "disturbed sweep manifests are not byte-identical to serial")
 
     kills = sum("kill" in a for a in plan)
     blackholes = sum("blackhole" in a for a in plan)

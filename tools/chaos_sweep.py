@@ -5,21 +5,21 @@ Runs one small fig8-shaped sweep four ways and asserts the fabric's
 whole recovery story end to end:
 
 1. **Reference.**  An undisturbed ``--jobs 1`` run; its speedup table
-   text and journal bytes are the ground truth everything else must
+   text and its cell manifests (the completion order and every
+   ``*.metrics.json`` byte) are the ground truth everything else must
    reproduce exactly.
 2. **Disturbed.**  The same sweep on the parallel fabric with a seeded
    :class:`repro.faults.chaos.ChaosPlan` adversary riding in every
    worker — SIGKILLs mid-cell, hangs past the cell timeout, transient
    exceptions — plus a results store attached.  The sweep must complete
    with zero permanently failed cells and byte-identical table and
-   journal output, and the adversary must actually have attacked
+   manifests, and the adversary must actually have attacked
    (the harness picks a chaos seed that guarantees at least one kill,
    one hang and one error on the first attempts).
-3. **Torn writes.**  ``truncate_tail`` chops a store shard and the
-   journal mid-record — the crash-mid-write state.  The store must
-   warn, drop only the torn record and recompute it (table still
-   byte-identical); the journal reader must warn and skip exactly the
-   torn line.
+3. **Torn write.**  ``truncate_tail`` chops a store shard mid-record —
+   the crash-mid-write state of any :class:`~repro.applog.AppendLog`.
+   The store must warn, drop only the torn record and recompute it
+   (table still byte-identical).
 4. **Warm store.**  A fresh context over the repaired store must replay
    the whole sweep with a >= 90% hit rate and **zero** engine
    simulations, still byte-identical.
@@ -42,7 +42,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.report import format_speedup_table  # noqa: E402
 from repro.config import SystemConfig  # noqa: E402
-from repro.experiments.journal import RunJournal  # noqa: E402
 from repro.experiments.parallel import Cell, cell_fingerprint  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     PROTOCOL_LABELS,
@@ -111,23 +110,27 @@ def pick_chaos_seed(spec: ChaosSpec, fingerprints: list) -> ChaosPlan:
     )
 
 
-def run_sweep(cfg, args, *, jobs: int, journal_dir=None, store=None,
+def run_sweep(cfg, args, *, jobs: int, telemetry_dir=None, store=None,
               chaos=None):
     """One fig8-shaped sweep; returns (table_text, context)."""
-    journal = None
-    if journal_dir is not None:
-        journal = RunJournal(journal_dir, context_key={"chaos": 1})
     ctx = ExperimentContext(
         cfg, seed=args.seed, ops_scale=args.ops_scale,
-        workloads=WORKLOADS, journal=journal, jobs=jobs, store=store,
+        workloads=WORKLOADS, jobs=jobs, store=store,
+        telemetry_dir=telemetry_dir,
         cell_timeout=args.cell_timeout, max_retries=args.max_retries,
     )
     if chaos is not None:
         ctx._executor.chaos = chaos
     table = ctx.speedup_table(PROTOCOLS)
-    if journal is not None:
-        journal.close()
     return format_speedup_table(table, PROTOCOL_LABELS), ctx
+
+
+def manifests(ctx, telemetry_dir: Path) -> tuple:
+    """A sweep's byte-identity witness: its cell manifests in completion
+    order, and every ``*.metrics.json`` byte for byte."""
+    return (list(ctx.manifests_written),
+            {path.name: path.read_bytes()
+             for path in sorted(telemetry_dir.glob("*.metrics.json"))})
 
 
 def main(argv=None) -> int:
@@ -162,9 +165,9 @@ def _gate(cfg, args, work: Path) -> int:
 
     # 1. Undisturbed serial reference.
     t0 = time.perf_counter()
-    reference, _ = run_sweep(cfg, args, jobs=1,
-                             journal_dir=work / "journal-serial")
-    ref_journal = (work / "journal-serial" / "cells.jsonl").read_bytes()
+    reference, ctx = run_sweep(cfg, args, jobs=1,
+                               telemetry_dir=work / "tel-serial")
+    ref_manifests = manifests(ctx, work / "tel-serial")
     print(f"chaos: reference serial sweep in "
           f"{time.perf_counter() - t0:.1f}s")
 
@@ -172,7 +175,7 @@ def _gate(cfg, args, work: Path) -> int:
     store_dir = work / "store"
     t0 = time.perf_counter()
     disturbed, ctx = run_sweep(
-        cfg, args, jobs=args.jobs, journal_dir=work / "journal-chaos",
+        cfg, args, jobs=args.jobs, telemetry_dir=work / "tel-chaos",
         store=ResultStore(store_dir), chaos=plan,
     )
     stats = ctx._executor.fabric_stats
@@ -183,14 +186,13 @@ def _gate(cfg, args, work: Path) -> int:
     check(not ctx.failed_cells,
           f"bounded chaos must always recover; failed cells: "
           f"{ctx.failed_cells}")
-    chaos_journal = (work / "journal-chaos" / "cells.jsonl").read_bytes()
-    check(chaos_journal == ref_journal,
-          "disturbed sweep journal is not byte-identical to serial")
+    check(manifests(ctx, work / "tel-chaos") == ref_manifests,
+          "disturbed sweep manifests are not byte-identical to serial")
     check(stats.retries > 0 and stats.worker_deaths > 0,
           f"adversary did not bite (stats {stats.as_dict()})")
     ctx.store.close()
 
-    # 3a. Torn store record: warn, recompute, identical output.
+    # 3. Torn store record: warn, recompute, identical output.
     shard = max(store_dir.glob("shard-*.jsonl"),
                 key=lambda p: p.stat().st_size)
     truncate_tail(shard, nbytes=7)
@@ -205,18 +207,6 @@ def _gate(cfg, args, work: Path) -> int:
     print(f"chaos: torn store record detected and recomputed "
           f"({store.stats()})")
     store.close()
-
-    # 3b. Torn journal line: the tolerant reader skips exactly it.
-    torn = work / "journal-torn" / "cells.jsonl"
-    torn.parent.mkdir(parents=True)
-    torn.write_bytes(ref_journal)
-    before = len(RunJournal(torn.parent, context_key={"chaos": 1}).cells())
-    truncate_tail(torn, nbytes=5)
-    after = len(RunJournal(torn.parent, context_key={"chaos": 1}).cells())
-    check(after == before - 1,
-          f"torn journal line: expected {before - 1} records, "
-          f"read {after}")
-    print(f"chaos: torn journal line skipped ({after}/{before} records)")
 
     # 4. Warm store: everything replays, nothing simulates.
     store = ResultStore(store_dir)

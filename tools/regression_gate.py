@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """CI regression gate over the live observability service.
 
-Queries a running ``observe --serve`` instance — ``/regressions`` for
-the cross-run drift view (the ``check_perf`` gate rendered over time)
-and ``/metrics/query`` for the pushed per-cell throughput rollups —
-and emits a GitHub-status-style summary: markdown on stdout, outcome
-as the exit code.  This closes the "wire /regressions history into PR
+Queries a running ``observe --serve`` instance's ``/regressions`` — the
+cross-run drift view (the ``check_perf`` gate rendered over time), read
+from every discovered run's manifests and perf sidecars — and emits a
+GitHub-status-style summary: markdown on stdout, outcome as the exit
+code.  This closes the "wire /regressions history into PR
 review" loop: paste the markdown into a PR comment or a
 ``$GITHUB_STEP_SUMMARY``, gate the job on the exit code.
 
 Exit codes:
 
 * 0 — PASS: no flagged perf regressions, no flagged speedup drift
-  (and, with ``--require-metrics``, non-empty pushed rollups).
-* 1 — FAIL: at least one flagged regression (or missing pushed
-  metrics under ``--require-metrics``).
+  (and, with ``--require-metrics``, at least one run reporting engine
+  throughput).
+* 1 — FAIL: at least one flagged regression (or, under
+  ``--require-metrics``, no run reporting engine throughput: an empty
+  view must not pass).
 * 2 — the service is unreachable or answered garbage.
 
 Stdlib only, like everything else in this repo.
@@ -42,12 +44,12 @@ def _num(value) -> str:
     return "—" if value is None else f"{value:,.0f}"
 
 
-def render_markdown(reg: dict, rollups: dict, *,
-                    require_metrics: bool) -> tuple:
+def render_markdown(reg: dict, *, require_metrics: bool) -> tuple:
     """(markdown, ok) for one gate evaluation."""
     flagged = list(reg.get("flagged", []))
-    series = rollups.get("series", [])
-    missing_metrics = require_metrics and not series
+    runs = reg.get("runs", [])
+    missing_metrics = require_metrics and not any(
+        row.get("engine_ops_per_second") for row in runs)
     ok = not flagged and not missing_metrics
 
     lines = []
@@ -69,7 +71,6 @@ def render_markdown(reg: dict, rollups: dict, *,
 
     lines.append("### Engine throughput vs baseline")
     lines.append("")
-    runs = reg.get("runs", [])
     if runs:
         lines.append("| run | ops/sec | vs baseline | gate |")
         lines.append("|---|---:|---:|---|")
@@ -83,6 +84,11 @@ def render_markdown(reg: dict, rollups: dict, *,
     else:
         lines.append("_No runs discovered (sweep with --telemetry "
                      "DIR to populate)._")
+    if missing_metrics:
+        lines.append("")
+        lines.append("_⚠️ --require-metrics set but no run reports "
+                     "engine ops/sec (did any sweep simulate a cell "
+                     "under --telemetry?)._")
     lines.append("")
 
     lines.append("### Geomean-speedup drift")
@@ -101,32 +107,6 @@ def render_markdown(reg: dict, rollups: dict, *,
         lines.append("_No speedup data yet._")
     lines.append("")
 
-    lines.append("### Pushed metrics (per-cell engine throughput)")
-    lines.append("")
-    if series:
-        lines.append(f"{len(series)} rollup series; last values:")
-        lines.append("")
-        lines.append("| namespace | run | cell | samples | last "
-                     "ops/sec |")
-        lines.append("|---|---|---|---:|---:|")
-        for s in series[:20]:
-            labels = s.get("labels", {})
-            cell = "/".join(filter(None, (labels.get("workload"),
-                                          labels.get("protocol"))))
-            lines.append(
-                f"| {s['namespace']} | `{s['run']}` | {cell or '—'} "
-                f"| {s['count']} | {_num(s.get('last'))} |")
-        if len(series) > 20:
-            lines.append("")
-            lines.append(f"_...and {len(series) - 20} more._")
-    elif missing_metrics:
-        lines.append("_⚠️ --require-metrics set but no pushed rollups "
-                     "found (did the sweep run with --push-metrics?)._")
-    else:
-        lines.append("_No pushed metrics (optional; sweep with "
-                     "--push-metrics URL)._")
-    lines.append("")
-
     if flagged:
         lines.append(f"**Flagged:** {', '.join(f'`{f}`' for f in flagged)}")
         lines.append("")
@@ -143,32 +123,22 @@ def main(argv=None) -> int:
     parser.add_argument("--url", default="http://127.0.0.1:8765",
                         help="service base URL "
                              "(default http://127.0.0.1:8765)")
-    parser.add_argument("--metric", default="cell.ops_per_second",
-                        help="rollup metric summarized in the report "
-                             "(default cell.ops_per_second)")
-    parser.add_argument("--namespace", default=None,
-                        help="restrict the rollup summary to one "
-                             "namespace")
     parser.add_argument("--require-metrics", action="store_true",
-                        help="fail the gate when no pushed rollups "
-                             "exist for --metric")
+                        help="fail the gate when no discovered run "
+                             "reports engine ops/sec")
     parser.add_argument("--timeout", type=float, default=10.0)
     args = parser.parse_args(argv)
 
     base = args.url.rstrip("/")
-    query = f"{base}/metrics/query?metric={args.metric}"
-    if args.namespace:
-        query += f"&namespace={args.namespace}"
     try:
         reg = fetch_json(f"{base}/regressions", args.timeout)
-        rollups = fetch_json(query, args.timeout)
     except (urllib.error.URLError, OSError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"regression gate: cannot query {base}: {exc}",
               file=sys.stderr)
         return 2
 
-    markdown, ok = render_markdown(reg, rollups,
+    markdown, ok = render_markdown(reg,
                                    require_metrics=args.require_metrics)
     print(markdown)
     return 0 if ok else 1
