@@ -14,10 +14,11 @@ Design constraints, in priority order:
    assembles every table itself.  ``wall_seconds`` is the lone
    nondeterministic field and is excluded from manifests, store
    records and experiment data by construction.
-2. **No duplicate work.**  Cell keys (:func:`cell_key`) are stable
-   fingerprints; the parent deduplicates before dispatch, and
+2. **No duplicate work.**  A :class:`Cell` is the sweep's one name for
+   a simulation, and every key the sweep uses is a projection of it;
+   the parent deduplicates on :attr:`Cell.key` before dispatch, and
    :class:`~repro.experiments.runner.ExperimentContext` memoizes results
-   under the same keys, so e.g. the ``noremote`` baseline a figure
+   under the same key, so e.g. the ``noremote`` baseline a figure
    normalizes against is simulated once per (workload, config), not
    once per protocol column.
 3. **Cheap workers.**  Workers regenerate (or, with a trace cache
@@ -30,6 +31,7 @@ Design constraints, in priority order:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import weakref
@@ -37,62 +39,57 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.config import SystemConfig
+from repro.trace.cache import TraceCache, geometry_fingerprint
+from repro.trace.workloads import WORKLOADS
 
 # ----------------------------------------------------------------------
-# Cell descriptions and fingerprints
+# Fingerprints
 # ----------------------------------------------------------------------
 
+#: ``(id(cfg), fn)`` -> (weak reference to ``cfg``, ``fn(cfg)``).
+_by_config: dict = {}
 
-@dataclass(frozen=True)
-class Cell:
-    """One simulation the sweep needs: fully self-describing, picklable.
 
-    ``cfg`` is the platform the cell is simulated on; ``trace_cfg`` is
-    the config its trace is generated against (``None``: ``cfg``).
+def _forget(key: tuple, ref) -> None:
+    if _by_config.get(key, (None,))[0] is ref:
+        del _by_config[key]
+
+
+def _per_config(cfg: SystemConfig, fn):
+    """``fn(cfg)``, computed once per config object.
+
+    The cache is keyed by object identity, not by value: configs equal
+    by value can still hash apart (``repr`` tells
+    ``inter_gpu_bw_gbps=100`` from ``100.0``), so a value-keyed cache
+    would make a fingerprint depend on which equal config was seen
+    first.  It lives outside the object, so a config pickles to the
+    same bytes before and after it is fingerprinted, and an entry goes
+    when its config does.
     """
-
-    workload: str
-    protocol: str
-    cfg: SystemConfig
-    placement: str = "first_touch"
-    fault_plan: object = None
-    trace_cfg: Optional[SystemConfig] = None
-
-
-#: ``id(cfg)`` -> (weak reference to ``cfg``, its fingerprint).
-_config_fingerprints: dict = {}
+    key = (id(cfg), fn)
+    entry = _by_config.get(key)
+    if entry is not None and entry[0]() is cfg:
+        return entry[1]
+    value = fn(cfg)
+    _by_config[key] = (weakref.ref(cfg, functools.partial(_forget, key)),
+                       value)
+    return value
 
 
-def _forget_config(key: int, ref) -> None:
-    if _config_fingerprints.get(key, (None,))[0] is ref:
-        del _config_fingerprints[key]
+def _repr_digest(cfg: SystemConfig) -> str:
+    return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
 
 
 def config_fingerprint(cfg: SystemConfig) -> str:
-    """Hash of *every* config field.
+    """Hash of *every* config field, once per config object.
 
     Unlike the trace cache's geometry fingerprint, simulation results
     depend on the whole platform description (latencies, bandwidths,
     message sizes...), so the cell memo must key on all of it.
     ``SystemConfig`` is a frozen dataclass tree whose ``repr`` is
     deterministic and total.
-
-    Each config object is hashed once.  The cache is keyed by object
-    identity, not by value: configs equal by value can still hash apart
-    (``repr`` tells ``inter_gpu_bw_gbps=100`` from ``100.0``), so a
-    value-keyed cache would make a fingerprint depend on which equal
-    config was seen first.  It lives outside the object, so a config
-    pickles to the same bytes before and after it is fingerprinted,
-    and an entry goes when its config does.
     """
-    key = id(cfg)
-    entry = _config_fingerprints.get(key)
-    if entry is not None and entry[0]() is cfg:
-        return entry[1]
-    fingerprint = hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
-    ref = weakref.ref(cfg, functools.partial(_forget_config, key))
-    _config_fingerprints[key] = (ref, fingerprint)
-    return fingerprint
+    return _per_config(cfg, _repr_digest)
 
 
 def plan_fingerprint(plan) -> str:
@@ -114,72 +111,140 @@ def plan_fingerprint(plan) -> str:
 
 def cell_key(workload: str, protocol: str, cfg: SystemConfig,
              placement: str, fault_plan, sanitize: bool = False) -> tuple:
-    """Memoization key under which a cell's result is stored."""
+    """The run half of a cell's identity: what it simulates on which
+    platform, without the trace it simulates (:attr:`Cell.key`)."""
     return (workload, protocol, config_fingerprint(cfg), placement,
             plan_fingerprint(fault_plan), bool(sanitize))
 
 
-def cell_fingerprint(cell: "Cell", sanitize: bool = False) -> str:
-    """Compact stable fingerprint of one cell (fabric partitioning,
-    chaos targeting, and retry-schedule seeding all key on this)."""
-    key = cell_key(cell.workload, cell.protocol, cell.cfg,
-                   cell.placement, cell.fault_plan, sanitize)
-    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+# ----------------------------------------------------------------------
+# Cells
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One requested simulation, built by
+    :meth:`repro.experiments.runner.ExperimentContext.cell`: the sweep's
+    only name for it.  ``cfg`` is the platform it simulates and
+    ``trace_cfg`` the config its trace is generated against.  Every key
+    is a projection of the cell, kept on the instance once computed,
+    never in a value-keyed cache (equal configs can fingerprint apart).
+    """
+
+    workload: str
+    protocol: str
+    cfg: SystemConfig
+    trace_cfg: SystemConfig
+    placement: str
+    fault_plan: object
+    seed: int
+    ops_scale: float
+    sanitize: bool
+    engine: str = "throughput"
+
+    @functools.cached_property
+    def geometry(self) -> str:
+        """The trace geometry: ``trace_cfg``'s
+        :func:`~repro.trace.cache.geometry_fingerprint`."""
+        return _per_config(self.trace_cfg, geometry_fingerprint)
+
+    @functools.cached_property
+    def key(self) -> tuple:
+        """Memo key: every field, configs and plan as fingerprints."""
+        return (cell_key(self.workload, self.protocol, self.cfg,
+                         self.placement, self.fault_plan, self.sanitize),
+                self.geometry, self.seed, self.ops_scale, self.engine)
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """Compact hash of :attr:`key`: the fabric's name for the cell
+        (partitioning, leases, chaos targeting, retry seeding and
+        ``failed_cells.json``)."""
+        return hashlib.sha256(repr(self.key).encode()).hexdigest()[:16]
+
+    @functools.cached_property
+    def store_key(self) -> str:
+        """Content address of the cell's result in a results store."""
+        from repro.experiments.store import store_key
+
+        run, trace, seed, ops_scale, engine = self.key
+        return store_key(run, seed, ops_scale, trace=trace, engine=engine)
+
+    @functools.cached_property
+    def twin(self) -> "Cell":
+        """The cell whose result this one can be derived from (DESIGN
+        §10): this cell at ``functional_config(cfg)``, with no fault
+        plan, on the scalar engine."""
+        from repro.engine.stats import functional_config
+
+        return dataclasses.replace(
+            self, cfg=_per_config(self.cfg, functional_config),
+            fault_plan=None, engine="throughput")
+
+    def identity(self) -> dict:
+        """The keyword arguments a manifest names this cell by
+        (:func:`repro.telemetry.manifest.cell_record`)."""
+        return {"workload": self.workload, "protocol": self.protocol,
+                "cfg": self.cfg, "placement": self.placement,
+                "fault_plan": self.fault_plan, "trace": self.geometry,
+                "seed": self.seed, "ops_scale": self.ops_scale,
+                "engine": self.engine}
+
+
+def trace_of(traces: dict, cache, workload: str, cfg: SystemConfig,
+             seed: int, ops_scale: float):
+    """The trace of ``workload`` generated against ``cfg``, from the
+    process's trace memo ``traces``; a miss loads it from ``cache`` (a
+    :class:`~repro.trace.cache.TraceCache`, its directory, or None) or
+    generates it."""
+    key = (workload, _per_config(cfg, geometry_fingerprint), seed,
+           ops_scale)
+    trace = traces.get(key)
+    if trace is None:
+        if cache is None:
+            trace = WORKLOADS[workload].generate(cfg, seed=seed,
+                                                 ops_scale=ops_scale)
+        else:
+            if isinstance(cache, str):
+                cache = TraceCache(cache)
+            trace = cache.get_or_generate(workload, cfg, seed, ops_scale)
+        traces[key] = trace
+    return trace
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 
-#: Per-process trace memo: (workload, geometry fp, seed, ops_scale) ->
-#: Trace.  Lives in the worker process; each worker pays trace
-#: acquisition once per workload, however many cells it simulates.
+#: The worker process's trace memo (see :func:`trace_of`): each worker
+#: pays trace acquisition once per workload, however many cells it
+#: simulates.
 _worker_traces: dict = {}
-
-
-def _worker_trace(workload: str, cfg: SystemConfig, seed: int,
-                  ops_scale: float, cache_dir: Optional[str]):
-    from repro.trace.cache import TraceCache, geometry_fingerprint
-
-    key = (workload, geometry_fingerprint(cfg), seed, ops_scale)
-    trace = _worker_traces.get(key)
-    if trace is None:
-        if cache_dir is not None:
-            trace = TraceCache(cache_dir).get_or_generate(
-                workload, cfg, seed, ops_scale
-            )
-        else:
-            from repro.trace.workloads import WORKLOADS
-
-            trace = WORKLOADS[workload].generate(cfg, seed=seed,
-                                                 ops_scale=ops_scale)
-        _worker_traces[key] = trace
-    return trace
 
 
 def run_cell(payload):
     """Simulate one cell in a worker process.
 
-    ``payload`` is ``(cell, seed, ops_scale, sanitize, cache_dir)``;
-    module-level so it pickles by reference under the default start
-    methods.
+    ``payload`` is ``(cell, cache_dir)``; module-level so it pickles by
+    reference under the default start methods.
     """
-    cell, seed, ops_scale, sanitize, cache_dir = payload
+    cell, cache_dir = payload
     from repro.core.sanitizer import CoherenceViolation
     from repro.engine.simulator import simulate
 
-    trace_cfg = cell.trace_cfg if cell.trace_cfg is not None else cell.cfg
-    trace = _worker_trace(cell.workload, trace_cfg, seed, ops_scale,
-                          cache_dir)
+    trace = trace_of(_worker_traces, cache_dir, cell.workload,
+                     cell.trace_cfg, cell.seed, cell.ops_scale)
     try:
         return simulate(
             trace,
             cell.cfg,
             protocol=cell.protocol,
+            engine=cell.engine,
             placement=cell.placement,
             workload_name=cell.workload,
             fault_plan=cell.fault_plan,
-            sanitize=sanitize,
+            sanitize=cell.sanitize,
         )
     except CoherenceViolation as violation:
         # Tag the violation with its cell before it pickles back to the
@@ -188,6 +253,7 @@ def run_cell(payload):
             "workload": cell.workload,
             "protocol": cell.protocol,
             "placement": cell.placement,
+            "fingerprint": cell.fingerprint,
         }
         raise
 
@@ -204,19 +270,17 @@ class SweepExecutor:
     The executor owns no state between calls beyond its settings and
     counters; the caller
     (:class:`~repro.experiments.runner.ExperimentContext`) holds the
-    result memo, the results store, and the manifests.  With ``jobs > 1``
-    cells run on the fault-tolerant scheduler of
+    result memo, the results store, and the manifests, and simulates a
+    lone cell itself.  Cells run on the fault-tolerant scheduler of
     :mod:`repro.experiments.fabric` — per-cell timeouts, bounded seeded
-    retries, heartbeat-driven work stealing — and a cell that exhausts
-    its retries comes back as ``None`` with a
-    :class:`~repro.experiments.fabric.FailedCell` record in
-    :attr:`failed` instead of aborting the sweep.
+    retries, heartbeat-driven work stealing — or, under ``--listen``, on
+    the lease coordinator; a cell that exhausts its retries comes back
+    as ``None`` with a :class:`~repro.experiments.fabric.FailedCell`
+    record in :attr:`failed` instead of aborting the sweep.
     """
 
     jobs: int = 1
     seed: int = 1
-    ops_scale: float = 1.0
-    sanitize: bool = False
     trace_cache_dir: Optional[str] = None
     #: Fabric policy knobs (``--cell-timeout`` / ``--max-retries``).
     cell_timeout: float = 0.0
@@ -310,21 +374,13 @@ class SweepExecutor:
         """
         cells = list(cells)
         self.cells_run += len(cells)
-        payloads = [
-            (cell, self.seed, self.ops_scale, self.sanitize,
-             self.trace_cache_dir)
-            for cell in cells
-        ]
-        if self.distributed and cells:
-            return self._run_distributed(cells, payloads, progress)
-        if self.jobs <= 1 or len(cells) <= 1:
-            results = []
-            for p in payloads:
-                result = run_cell(p)
-                if progress is not None:
-                    progress.update(result)
-                results.append(result)
-            return results
+        tasks = [((cell, self.trace_cache_dir), cell.fingerprint)
+                 for cell in cells]
+        on_result = None
+        if progress is not None:
+            on_result = lambda _index, result: progress.update(result)  # noqa: E731
+        if self.distributed:
+            return self._run_distributed(cells, tasks, on_result)
 
         from repro.experiments.fabric import FabricScheduler, FabricStats
 
@@ -338,13 +394,6 @@ class SweepExecutor:
             chaos=self.chaos,
             tracer=self.tracer,
         )
-        tasks = [
-            (payload, cell_fingerprint(cell, self.sanitize))
-            for payload, cell in zip(payloads, cells)
-        ]
-        on_result = None
-        if progress is not None:
-            on_result = lambda _index, result: progress.update(result)  # noqa: E731
         results = scheduler.run(tasks, on_result=on_result)
         if self.fabric_stats is None:
             self.fabric_stats = FabricStats()
@@ -353,18 +402,11 @@ class SweepExecutor:
             self.failed.append((cells[failure.index], failure))
         return results
 
-    def _run_distributed(self, cells, payloads, progress):
+    def _run_distributed(self, cells, tasks, on_result):
         """One batch on the lease coordinator (``--listen`` mode)."""
         from repro.experiments.fabric_net import NetFabricStats
 
         coordinator = self.coordinator()
-        tasks = [
-            (payload, cell_fingerprint(cell, self.sanitize))
-            for payload, cell in zip(payloads, cells)
-        ]
-        on_result = None
-        if progress is not None:
-            on_result = lambda _index, result: progress.update(result)  # noqa: E731
         base_failed = len(coordinator.failed)
         results = coordinator.run(tasks, on_result=on_result)
         # The coordinator persists across batches and accumulates its

@@ -4,12 +4,16 @@ An :class:`ExperimentContext` fixes the platform configuration, random
 seed and trace-length scale; drivers use it to run workloads under
 protocol sets and collect normalized speedups.  Traces are generated
 once per workload and cached (optionally on disk, via ``trace_cache``),
-and every completed simulation is memoized under its cell fingerprint —
+and every completed simulation is memoized under its cell key —
 a figure that normalizes five protocols against the same baseline
 simulates that baseline once, and a sweep that revisits a cell pays
-nothing.  A missing cell that differs from a completed one only in
-its inter-GPU bandwidth or fault plan is rolled up from that cell's
-result instead of simulated (:func:`repro.engine.stats.derive`).  With
+nothing.  A missing cell that differs from a completed or stored one
+only in its inter-GPU bandwidth or fault plan is rolled up from that
+cell's result instead of simulated (:func:`repro.engine.stats.derive`).
+Every key the context uses — memo, store, derivation twin, manifest
+slug, fabric fingerprint — is a projection of one
+:class:`~repro.experiments.parallel.Cell`, built by
+:meth:`ExperimentContext.cell`.  With
 ``jobs > 1``, the cells left to simulate fan out across worker
 processes with deterministic, serial-identical results (see
 :mod:`repro.experiments.parallel`).  A driver that needs traces
@@ -30,31 +34,13 @@ from repro.analysis.metrics import SpeedupTable, normalized_speedups
 from repro.core.registry import PROTOCOLS
 from repro.core.sanitizer import CoherenceViolation
 from repro.engine.simulator import simulate
-from repro.engine.stats import derive, functional_config
-from repro.experiments.parallel import Cell, SweepExecutor, cell_key
-from repro.trace.cache import geometry_fingerprint
+from repro.engine.stats import derive
+from repro.experiments.parallel import Cell, SweepExecutor, trace_of
 from repro.trace.stream import Trace
-from repro.trace.workloads import FIGURE_ORDER, WORKLOADS
+from repro.trace.workloads import FIGURE_ORDER
 
 #: Display labels for figure columns, in the paper's legend wording.
 PROTOCOL_LABELS = {name: cls.label for name, cls in PROTOCOLS.items()}
-
-
-def _engine_of(result) -> str:
-    """The engine that produced ``result`` (a sweep's cells all run on
-    ``simulate``'s default, the scalar throughput engine)."""
-    return getattr(result, "engine_used", "") or "throughput"
-
-
-def _functional_key(cell: Cell, key: tuple) -> tuple:
-    """``cell``'s memo key ``key`` with the roll-up-only config fields
-    normalized and the fault plan dropped: cells that share it run the
-    same per-op loop (DESIGN §10)."""
-    trace_fp, (*_, sanitize) = key
-    return (trace_fp,
-            cell_key(cell.workload, cell.protocol,
-                     functional_config(cell.cfg), cell.placement, None,
-                     sanitize))
 
 
 @dataclass
@@ -96,11 +82,10 @@ class SweepServices:
     repro_dir: object = None
     #: Draw a live stderr line while sweep batches execute.
     progress: bool = False
-    #: ``(workload, geometry fingerprint, seed, ops_scale)`` -> Trace.
+    #: The parent's trace memo (:func:`~repro.experiments.parallel.trace_of`).
     traces: dict = field(default_factory=dict)
-    #: ``(geometry fingerprint, cell key)`` -> SimResult, or None for a
-    #: permanently failed cell.  The fingerprint names the config the
-    #: cell's trace was generated against.
+    #: :attr:`Cell.key <repro.experiments.parallel.Cell.key>` ->
+    #: SimResult, or None for a permanently failed cell.
     results: dict = field(default_factory=dict)
     #: Cells that failed permanently (exhausted fabric retries):
     #: manifest dicts, in completion order.  Figures render these as
@@ -109,14 +94,14 @@ class SweepServices:
     #: Manifest slugs written under ``telemetry_dir``, in completion
     #: order (the run-level manifest indexes these).
     manifests_written: list = field(default_factory=list)
-    manifest_slugs: set = field(default_factory=set)
-    #: ``(cell, memo key, result)`` of every completed cell, in
-    #: completion order: what :meth:`ExperimentContext._base` indexes,
-    #: in one record, so clearing the ``results`` memo cannot strand it.
+    #: ``(cell, result)`` of every completed cell, in completion order:
+    #: what :meth:`ExperimentContext._base` indexes, in one record, so
+    #: clearing the ``results`` memo cannot strand it.
     completed: list = field(default_factory=list)
-    #: Functional key -> ``(cell, result)`` of the first completed cell
-    #: a missing cell with that key can be derived from; it indexes
-    #: ``completed[:indexed]`` (see :meth:`ExperimentContext._base`).
+    #: Twin key -> ``(cell, result)`` of the first completed cell, or
+    #: the stored twin, that a missing cell with that twin can be
+    #: derived from; it indexes ``completed[:indexed]`` (see
+    #: :meth:`ExperimentContext._base`).
     bases: dict = field(default_factory=dict)
     indexed: int = 0
 
@@ -166,9 +151,6 @@ class ExperimentContext:
         self.workloads = list(workloads) if workloads else list(FIGURE_ORDER)
         self.fault_plan = fault_plan
         self.sanitize = sanitize
-        #: Fingerprint of the trace-generation fields of ``cfg``,
-        #: computed once: it names this context's traces in both keys.
-        self._trace_fp = geometry_fingerprint(self.cfg)
         if trace_cache is not None and not hasattr(trace_cache, "load"):
             from repro.trace.cache import TraceCache
 
@@ -178,8 +160,7 @@ class ExperimentContext:
 
             store = ResultStore(store)
         executor = SweepExecutor(
-            jobs=max(1, int(jobs)), seed=seed, ops_scale=ops_scale,
-            sanitize=sanitize,
+            jobs=max(1, int(jobs)), seed=seed,
             trace_cache_dir=(str(trace_cache.root)
                              if trace_cache is not None else None),
             cell_timeout=cell_timeout, max_retries=max_retries,
@@ -205,7 +186,6 @@ class ExperimentContext:
         """
         derived = copy.copy(self)
         derived.cfg = cfg
-        derived._trace_fp = geometry_fingerprint(cfg)
         return derived
 
     # Read-only views of the shared services (the CLI, tools and tests
@@ -232,110 +212,86 @@ class ExperimentContext:
         The :class:`Trace` itself is memoized, so the columns a
         vectorized run builds are built once per workload.
         """
-        key = (workload, self._trace_fp, self.seed, self.ops_scale)
-        traces = self.services.traces
-        if key not in traces:
-            cache = self.services.trace_cache
-            if cache is not None:
-                traces[key] = cache.get_or_generate(
-                    workload, self.cfg, self.seed, self.ops_scale
-                )
-            else:
-                traces[key] = WORKLOADS[workload].generate(
-                    self.cfg, seed=self.seed, ops_scale=self.ops_scale
-                )
-        return traces[key]
+        return trace_of(self.services.traces, self.services.trace_cache,
+                        workload, self.cfg, self.seed, self.ops_scale)
 
     # ------------------------------------------------------------------
     # Cell execution (memoized; optionally parallel)
     # ------------------------------------------------------------------
 
-    def _cell(self, workload: str, protocol: str, cfg: SystemConfig,
-              placement: str, fault_plan) -> Cell:
-        plan = fault_plan if fault_plan is not None else self.fault_plan
-        run_cfg = cfg if cfg is not None else self.cfg
-        return Cell(workload, protocol, run_cfg, placement, plan,
-                    trace_cfg=self.cfg)
+    def cell(self, workload: str, protocol: str, cfg: SystemConfig = None,
+             placement: str = "first_touch", fault_plan=None) -> Cell:
+        """The cell this context simulates for one request: on the
+        context's traces, seed, ops-scale and sanitize flag, by default
+        on its config and fault plan, on the scalar throughput engine."""
+        return Cell(workload, protocol, self.cfg if cfg is None else cfg,
+                    self.cfg, placement,
+                    self.fault_plan if fault_plan is None else fault_plan,
+                    self.seed, self.ops_scale, self.sanitize)
 
-    def _key(self, cell: Cell) -> tuple:
-        """Memo key: the trace config's fingerprint and the cell key."""
-        return (self._trace_fp,
-                cell_key(cell.workload, cell.protocol, cell.cfg,
-                         cell.placement, cell.fault_plan, self.sanitize))
-
-    def _store_key(self, key: tuple) -> str:
-        from repro.experiments.store import store_key
-
-        trace_fp, cell = key
-        return store_key(cell, self.seed, self.ops_scale, trace=trace_fp)
-
-    def _store_get(self, key: tuple):
+    def _store_get(self, cell: Cell):
         """The persisted result for a cell, if a store is attached."""
         store = self.services.store
         if store is None:
             return None
-        return store.get(self._store_key(key))
+        return store.get(cell.store_key)
 
-    def _base(self, cell: Cell, key: tuple):
-        """``(cell, result)`` of a completed cell that ``cell`` can be
-        derived from, or None.
+    def _base(self, cell: Cell):
+        """``(cell, result)`` of a cell that ``cell`` can be derived
+        from, or None.
 
-        A base shares ``cell``'s functional key, ran on the scalar
-        engine every sweep cell runs on, and had no fault plan or a
-        no-op one.  Called only on a memo-and-store miss: the index
-        catches up with the cells completed since the previous miss, so
-        a sweep replayed from the store computes no functional key.
+        A base shares ``cell``'s twin (:attr:`Cell.twin
+        <repro.experiments.parallel.Cell.twin>`) and is a completed
+        scalar cell with no fault plan or a no-op one, or else the twin
+        itself, found in the store without counting a hit or a miss.
+        Called only on a memo-and-store miss: the index catches up with
+        the cells completed since the previous miss, so a sweep replayed
+        from the store builds no twin.
         """
         services = self.services
-        for done, done_key, result in services.completed[services.indexed:]:
+        for done, result in services.completed[services.indexed:]:
             plan = done.fault_plan
             if ((plan is None or plan.is_noop)
-                    and _engine_of(result) == "throughput"):
-                services.bases.setdefault(_functional_key(done, done_key),
-                                          (done, result))
+                    and done.engine == "throughput"):
+                services.bases.setdefault(done.twin.key, (done, result))
         services.indexed = len(services.completed)
-        return services.bases.get(_functional_key(cell, key))
+        twin = cell.twin
+        base = services.bases.get(twin.key)
+        if (base is None and services.store is not None
+                and twin.key != cell.key):
+            stored = services.store.peek(twin.store_key)
+            if stored is not None:
+                base = services.bases[twin.key] = (twin, stored)
+        return base
 
-    def _complete(self, cell: Cell, key: tuple, result,
-                  from_store: bool = False, derived_from: Cell = None
-                  ) -> None:
+    def _complete(self, cell: Cell, result, from_store: bool = False,
+                  derived_from: Cell = None) -> None:
         """Memoize, store and manifest one completed cell;
         ``derived_from`` is the base a derived cell was rolled up from."""
         services = self.services
-        services.results[key] = result
-        services.completed.append((cell, key, result))
+        services.results[cell.key] = result
+        services.completed.append((cell, result))
         if services.store is not None and not from_store:
-            services.store.put(self._store_key(key), result,
+            services.store.put(cell.store_key, result,
                                workload=cell.workload,
                                protocol=cell.protocol)
         if services.telemetry_dir is not None:
-            from repro.telemetry.manifest import (cell_slug,
+            from repro.telemetry.manifest import (cell_record,
                                                   write_cell_artifacts)
 
             base_slug = None
             if derived_from is not None:
-                base_slug = cell_slug(
-                    derived_from.workload, derived_from.protocol,
-                    derived_from.cfg, derived_from.placement,
-                    derived_from.fault_plan)
-            slug = write_cell_artifacts(
-                services.telemetry_dir, result,
-                workload=cell.workload, protocol=cell.protocol,
-                cfg=cell.cfg, placement=cell.placement,
-                fault_plan=cell.fault_plan, seed=self.seed,
-                ops_scale=self.ops_scale, engine=_engine_of(result),
+                base_slug = cell_record(**derived_from.identity())[1]
+            services.manifests_written.append(write_cell_artifacts(
+                services.telemetry_dir, result, **cell.identity(),
                 derived_from=base_slug,
-            )
-            if slug not in services.manifest_slugs:
-                services.manifest_slugs.add(slug)
-                services.manifests_written.append(slug)
+            ))
 
-    def _complete_failure(self, cell: Cell, key: tuple,
-                          failure) -> None:
+    def _complete_failure(self, cell: Cell, failure) -> None:
         """Record a permanently failed cell: the sweep keeps going and
         every downstream table renders this cell as a gap."""
         services = self.services
-        services.results[key] = None
+        services.results[cell.key] = None
         services.failed_cells.append({
             "workload": cell.workload,
             "protocol": cell.protocol,
@@ -357,8 +313,8 @@ class ExperimentContext:
 
         payload = reprofile.trace_repro(
             workload=cell.workload, protocol=cell.protocol,
-            cfg=cell.cfg, seed=self.seed, ops_scale=self.ops_scale,
-            placement=cell.placement, engine="throughput",
+            cfg=cell.cfg, seed=cell.seed, ops_scale=cell.ops_scale,
+            placement=cell.placement, engine=cell.engine,
             fault_plan=cell.fault_plan, violation=violation,
             trace_cfg=cell.trace_cfg,
         )
@@ -371,22 +327,23 @@ class ExperimentContext:
             "repro": str(path),
         }
 
-    def _simulate(self, cell: Cell, key: tuple):
+    def _simulate(self, cell: Cell):
         """Simulate one cell in this process and complete it."""
         try:
             result = simulate(
                 self.trace(cell.workload),
                 cell.cfg,
                 protocol=cell.protocol,
+                engine=cell.engine,
                 placement=cell.placement,
                 workload_name=cell.workload,
                 fault_plan=cell.fault_plan,
-                sanitize=self.sanitize,
+                sanitize=cell.sanitize,
             )
         except CoherenceViolation as violation:
             self._dump_violation(cell, violation)
             raise
-        self._complete(cell, key, result)
+        self._complete(cell, result)
         return result
 
     def run(self, workload: str, protocol: str,
@@ -394,27 +351,26 @@ class ExperimentContext:
             fault_plan=None):
         """Simulate one workload under one protocol (throughput engine).
 
-        Results are memoized by cell fingerprint: asking for the same
+        Results are memoized by cell key: asking for the same
         cell again — the baseline of every normalized figure, a repeated
         sweep point — returns the completed result without re-simulating.
         A cell a completed base can be derived from (:meth:`_base`) is
         rolled up from it instead.
         """
-        cell = self._cell(workload, protocol, cfg, placement, fault_plan)
-        key = self._key(cell)
+        cell = self.cell(workload, protocol, cfg, placement, fault_plan)
         results = self.services.results
-        if key in results:  # may be None: a permanently failed cell
-            return results[key]
-        stored = self._store_get(key)
+        if cell.key in results:  # may be None: a permanently failed cell
+            return results[cell.key]
+        stored = self._store_get(cell)
         if stored is not None:
-            self._complete(cell, key, stored, from_store=True)
+            self._complete(cell, stored, from_store=True)
             return stored
-        base = self._base(cell, key)
+        base = self._base(cell)
         if base is not None:
             result = derive(base[1], cell.cfg, cell.fault_plan)
-            self._complete(cell, key, result, derived_from=base[0])
+            self._complete(cell, result, derived_from=base[0])
             return result
-        return self._simulate(cell, key)
+        return self._simulate(cell)
 
     def run_many(self, requests):
         """Simulate a batch of cells, fanning out across ``jobs``
@@ -427,28 +383,22 @@ class ExperimentContext:
         only compute — the parent memoizes, stores and manifests every
         fresh cell in request order, so a parallel run's manifests and
         tables are byte-identical to a serial run's.  Cells a base
-        completed before this call can be derived from (:meth:`_base`)
-        are rolled up from it and never dispatched.
+        completed before this call, or a stored twin, can be derived
+        from (:meth:`_base`) are rolled up from it and never
+        dispatched.  A lone cell left to simulate runs in this process,
+        on the context's own trace memo, unless a fleet serves the
+        sweep (``listen``).
         """
-        cells = []
-        for req in requests:
-            req = tuple(req)
-            workload, protocol = req[0], req[1]
-            cfg = req[2] if len(req) > 2 else None
-            placement = req[3] if len(req) > 3 else "first_touch"
-            plan = req[4] if len(req) > 4 else None
-            cells.append(self._cell(workload, protocol, cfg, placement,
-                                    plan))
-        keys = [self._key(cell) for cell in cells]
+        cells = [self.cell(*request) for request in requests]
         services = self.services
         executor = services.executor
 
-        fresh: list = []  # (cell, key) in first-appearance order
+        fresh: list = []  # cells in first-appearance order
         seen = set(services.results)
-        for cell, key in zip(cells, keys):
-            if key not in seen:
-                seen.add(key)
-                fresh.append((cell, key))
+        for cell in cells:
+            if cell.key not in seen:
+                seen.add(cell.key)
+                fresh.append(cell)
 
         progress = None
         if services.progress and fresh:
@@ -458,77 +408,72 @@ class ExperimentContext:
 
         # Cells already persisted in the results store replay without
         # an engine (the cross-run analogue of the in-process memo), and
-        # cells a completed base rolls up to are derived; only the
-        # remaining frontier is simulated.
-        prefetched: dict = {}
+        # cells a base rolls up to are derived; only the remaining
+        # frontier is simulated.
+        prefetched: dict = {}  # cell key -> result
         replayed: set = set()  # keys satisfied by the store
         derived_from: dict = {}  # key -> base cell, for derived keys
-        to_run: list = []  # (cell, key) needing simulation
-        for cell, key in fresh:
-            stored = self._store_get(key)
+        to_run: list = []  # cells needing simulation
+        for cell in fresh:
+            stored = self._store_get(cell)
             if stored is not None:
-                prefetched[key] = stored
-                replayed.add(key)
+                prefetched[cell.key] = stored
+                replayed.add(cell.key)
             else:
-                base = self._base(cell, key)
+                base = self._base(cell)
                 if base is None:
-                    to_run.append((cell, key))
+                    to_run.append(cell)
                     continue
-                prefetched[key] = derive(base[1], cell.cfg,
-                                         cell.fault_plan)
-                derived_from[key] = base[0]
+                prefetched[cell.key] = derive(base[1], cell.cfg,
+                                              cell.fault_plan)
+                derived_from[cell.key] = base[0]
             if progress is not None:
-                progress.update(prefetched[key])
+                progress.update(prefetched[cell.key])
 
-        if to_run:
-            if executor.jobs > 1 or executor.distributed:
-                # The kwarg is only passed when live progress is on, so
-                # tests (and subclasses) stubbing ``executor.run(cells)``
-                # keep working.
-                kwargs = {} if progress is None else {"progress": progress}
-                failures_before = len(executor.failed)
-                try:
-                    results = executor.run(
-                        [cell for cell, _ in to_run], **kwargs
-                    )
-                except CoherenceViolation as violation:
-                    # The worker tagged the violation with its cell
-                    # (see parallel.run_cell); dump a repro here in the
-                    # parent, where repro_dir lives.
-                    info = violation.cell_info or {}
-                    for cell, _key in to_run:
-                        if (cell.workload == info.get("workload")
-                                and cell.protocol == info.get("protocol")):
-                            self._dump_violation(cell, violation)
-                            break
-                    raise
-                failures = {
-                    id(cell): failure
-                    for cell, failure in
-                    executor.failed[failures_before:]
-                }
-                for (cell, key), result in zip(to_run, results):
-                    if result is None:
-                        self._complete_failure(cell, key,
-                                               failures[id(cell)])
-                    else:
-                        prefetched[key] = result
+        if ((executor.jobs > 1 and len(to_run) > 1)
+                or (executor.distributed and to_run)):
+            # The kwarg is only passed when live progress is on, so
+            # tests (and subclasses) stubbing ``executor.run(cells)``
+            # keep working.
+            kwargs = {} if progress is None else {"progress": progress}
+            failures_before = len(executor.failed)
+            try:
+                results = executor.run(to_run, **kwargs)
+            except CoherenceViolation as violation:
+                # The worker tagged the violation with its cell's
+                # fingerprint (see parallel.run_cell); dump a repro
+                # here in the parent, where repro_dir lives.
+                tripped = (violation.cell_info or {}).get("fingerprint")
+                for cell in to_run:
+                    if cell.fingerprint == tripped:
+                        self._dump_violation(cell, violation)
+                        break
+                raise
+            failures = {
+                id(cell): failure
+                for cell, failure in executor.failed[failures_before:]
+            }
+            for cell, result in zip(to_run, results):
+                if result is None:
+                    self._complete_failure(cell, failures[id(cell)])
+                else:
+                    prefetched[cell.key] = result
 
         # Complete every fresh cell in request order — store
-        # replays, derived cells, parallel completions and serial runs
-        # all land in the same deterministic sequence.
-        for cell, key in fresh:
-            if key in prefetched:
-                self._complete(cell, key, prefetched[key],
-                               from_store=key in replayed,
-                               derived_from=derived_from.get(key))
-            elif key not in services.results:  # serial: simulate it now
-                self._simulate(cell, key)
+        # replays, derived cells, parallel completions and in-process
+        # runs all land in the same deterministic sequence.
+        for cell in fresh:
+            if cell.key in prefetched:
+                self._complete(cell, prefetched[cell.key],
+                               from_store=cell.key in replayed,
+                               derived_from=derived_from.get(cell.key))
+            elif cell.key not in services.results:  # simulate it here
+                self._simulate(cell)
                 if progress is not None:
-                    progress.update(services.results[key])
+                    progress.update(services.results[cell.key])
         if progress is not None:
             progress.close()
-        return [services.results[key] for key in keys]
+        return [services.results[cell.key] for cell in cells]
 
     # ------------------------------------------------------------------
     # Driver helpers

@@ -7,8 +7,9 @@ directory of 16 :class:`~repro.applog.AppendLog` shards keyed by cell
 fingerprint (:func:`store_key`): every completed simulation is
 serialized once, and any later sweep that revisits the cell — same
 workload, protocol, full platform config, placement, fault plan, seed,
-trace scale, trace geometry and simulator source — replays the stored
-:class:`~repro.engine.stats.SimResult` without touching an engine.
+trace scale, trace geometry, engine and simulator source — replays the
+stored :class:`~repro.engine.stats.SimResult` without touching an
+engine.
 
 Records follow the durability contract of DESIGN.md §13.  A record
 carries the store's schema version and the result as a base64,
@@ -38,7 +39,8 @@ from repro.applog import AppendLog
 #: Record schema version; bump on any incompatible change (old records
 #: then read as misses and are recomputed).  2: the pickle is
 #: zlib-compressed, and keys name the trace geometry and the source.
-SCHEMA = 2
+#: 3: keys name the engine.
+SCHEMA = 3
 
 #: Shard fan-out: records land in shard-<first hex digit>.jsonl.
 _SHARD_DIGITS = "0123456789abcdef"
@@ -74,20 +76,21 @@ def _running_source() -> str:
 
 
 def store_key(cell_key: tuple, seed: int, ops_scale: float, *,
-              trace: str) -> str:
-    """Content address of one cell's result.
+              trace: str, engine: str) -> str:
+    """Content address of one cell's result
+    (:attr:`repro.experiments.parallel.Cell.store_key`).
 
     ``cell_key`` is :func:`repro.experiments.parallel.cell_key` — the
     full (workload, protocol, config fingerprint, placement, fault-plan
-    fingerprint, sanitize) tuple — extended here with what the cell key
-    alone does not carry: the run seed, the trace scale, ``trace`` (the
+    fingerprint, sanitize) tuple — extended here with the rest of the
+    cell: the run seed, the trace scale, ``trace`` (the
     :func:`~repro.trace.cache.geometry_fingerprint` of the config the
-    cell's trace was generated against) and the fingerprint of the
-    simulator's source (:func:`source_fingerprint`).  The schema
-    version is folded in so a format change invalidates the whole
-    store at once.
+    cell's trace was generated against) and ``engine``; and with the
+    fingerprint of the simulator's source (:func:`source_fingerprint`).
+    The schema version is folded in so a format change invalidates the
+    whole store at once.
     """
-    payload = repr((SCHEMA, cell_key, seed, ops_scale, trace,
+    payload = repr((SCHEMA, cell_key, seed, ops_scale, trace, engine,
                     _running_source()))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -150,9 +153,13 @@ class ResultStore:
     # Public API
     # ------------------------------------------------------------------
 
+    def peek(self, key: str):
+        """The stored result for ``key``, or None; counts nothing."""
+        return self._load_shard(key[0]).get(key)
+
     def get(self, key: str):
         """The stored result for ``key``, or None (counted as a miss)."""
-        result = self._load_shard(key[0]).get(key)
+        result = self.peek(key)
         if result is None:
             self.misses += 1
             return None

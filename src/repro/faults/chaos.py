@@ -7,7 +7,8 @@ per (cell fingerprint, attempt), SIGKILLs the worker mid-cell, hangs it
 past the scheduler's cell timeout, or raises a transient exception —
 the three failure modes the fabric's heartbeats, timeouts and retries
 must absorb.  :func:`truncate_tail` is the fourth adversary: a
-crash-mid-write torn record in a results-store shard or journal.
+crash-mid-write torn record in an append-only log (a results-store
+shard or the run registry).
 
 Like the fault plans, a chaos plan is a pure function of
 ``(spec, seed)``: the same plan attacks the same cells on the same
@@ -253,9 +254,9 @@ def host_chaos_from_json(text: str, seed: int = 1) -> HostChaosPlan:
 def truncate_tail(path, nbytes: int = 7) -> int:
     """Chop ``nbytes`` off the end of a file — a crash mid-write.
 
-    Returns the new size.  Truncating an append-only JSONL shard or
-    journal mid-record is exactly the torn-line state their tolerant
-    readers must warn about and recover from.
+    Returns the new size.  Truncating an append-only JSONL log
+    mid-record is exactly the torn-line state its tolerant reader must
+    warn about and recover from.
     """
     size = os.path.getsize(path)
     new_size = max(size - nbytes, 0)

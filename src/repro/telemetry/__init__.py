@@ -20,7 +20,7 @@ of them and renders a markdown report.
 from repro.telemetry.interval import IntervalSampler, read_jsonl
 from repro.telemetry.manifest import (
     cell_manifest,
-    cell_slug,
+    cell_record,
     perf_sidecar,
     write_cell_artifacts,
     write_json,
@@ -64,7 +64,7 @@ __all__ = [
     "TelemetrySession",
     "Tracer",
     "cell_manifest",
-    "cell_slug",
+    "cell_record",
     "make_detailed_snapshot",
     "make_throughput_snapshot",
     "perf_sidecar",

@@ -13,7 +13,7 @@ observability service (:mod:`repro.telemetry.serve`) renders:
   ``wall_seconds == 0`` and are excluded),
 * per-protocol geomean speedups vs the ``noremote`` baseline, grouped
   exactly the way the paper's fig 8 normalizes (same workload, config
-  fingerprint, placement, and fault plan),
+  fingerprint, trace geometry, placement, and fault plan),
 * drift of both across runs against the committed ``BENCH_perf.json``
   baseline and its ``--record`` history — the ``check_perf`` gate
   rendered over time.
@@ -84,6 +84,7 @@ def load_run(run_dir) -> dict:
             "protocol": cell.get("protocol"),
             "placement": cell.get("placement"),
             "config_fingerprint": cell.get("config_fingerprint"),
+            "trace": cell.get("trace"),
             "fault_plan": plan.get("name"),
             "plan_fingerprint": plan.get("fingerprint", ""),
             "cycles": manifest.get("time", {}).get("cycles"),
@@ -135,17 +136,19 @@ def engine_ops_per_second(cells) -> float:
 def geomean_speedups(cells) -> dict:
     """Per-protocol geomean speedup vs ``noremote``, fig 8 style.
 
-    Cells group by (workload, config fingerprint, placement, fault
-    plan); within a group every protocol normalizes to the group's
-    ``noremote`` cycles.  Groups without a baseline, and zero-cycle
-    cells, are skipped.
+    Cells group by (workload, config fingerprint, trace geometry,
+    placement, fault plan); within a group every protocol normalizes to
+    the group's ``noremote`` cycles.  The engine stays out of the group:
+    a figure's baseline and its columns may run on different engines.
+    Groups without a baseline, and zero-cycle cells, are skipped.
     """
     groups: dict = {}
     for cell in cells:
         if not cell.get("cycles"):
             continue
         key = (cell.get("workload"), cell.get("config_fingerprint"),
-               cell.get("placement"), cell.get("plan_fingerprint"))
+               cell.get("trace"), cell.get("placement"),
+               cell.get("plan_fingerprint"))
         groups.setdefault(key, {})[cell.get("protocol")] = cell["cycles"]
     speedups: dict = {}
     for group in groups.values():

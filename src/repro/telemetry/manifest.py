@@ -2,8 +2,9 @@
 
 Every sweep cell run under ``--telemetry DIR`` leaves a manifest: a
 deterministic JSON digest of the cell's identity (workload, protocol,
-config fingerprint, placement, fault plan) and its results (cycles,
-bottleneck, hit rates, traffic, degradation counters).  Manifests are
+engine, config fingerprint, trace geometry, placement, fault plan,
+seed, ops-scale) and its results (cycles, bottleneck, hit rates,
+traffic, degradation counters).  Manifests are
 written by the *parent* process in request order regardless of
 ``--jobs``, and contain no wall-clock fields, so a serial and a
 parallel sweep produce byte-identical files — the property CI diffs.
@@ -26,6 +27,7 @@ records ``wall_seconds`` 0.0), and the rerun after it rewrites nothing.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -35,63 +37,61 @@ from repro.applog import holds
 # import stays out of module scope — the engines import
 # repro.core.protocol, which imports this package for NULL_TRACER.
 
-#: Manifest format version; bump on any key change.
+#: Manifest format version; bump when a key is renamed, removed or
+#: redefined (readers skip keys they do not know).
 SCHEMA = 1
 
 
-def _cell(workload: str, protocol: str, cfg, placement: str, fault_plan,
-          seed=None, ops_scale=None, engine="throughput") -> dict:
-    """A manifest's ``cell`` record: the cell's identity.  Its slug is
-    a projection of it (:func:`_slug`), so writing a cell's artifacts
-    fingerprints its config once."""
+def cell_record(workload: str, protocol: str, cfg, placement: str,
+                fault_plan=None, *, trace: str, seed: int = None,
+                ops_scale: float = None,
+                engine: str = "throughput") -> tuple:
+    """A manifest's ``cell`` record and the slug that names its files.
+
+    ``trace`` is the :func:`~repro.trace.cache.geometry_fingerprint` of
+    the config the cell's trace was generated against.  The slug's hex
+    segment hashes the config fingerprint, the trace geometry and the
+    engine, so two cells share a slug only when they differ in nothing
+    but seed and ops-scale: a directory reused under another seed is
+    overwritten, not mixed.
+    """
     from repro.experiments.parallel import (config_fingerprint,
                                             plan_fingerprint)
 
-    return {
+    config = config_fingerprint(cfg)
+    plan = None
+    parts = [workload, protocol,
+             hashlib.sha256(f"{config}|{trace}|{engine}".encode())
+             .hexdigest()[:8],
+             placement]
+    if fault_plan is not None:
+        plan = {"name": fault_plan.name,
+                "fingerprint": plan_fingerprint(fault_plan)}
+        parts.append(f"{plan['name']}-{plan['fingerprint'][:8]}")
+    record = {
         "workload": workload,
         "protocol": protocol,
         "engine": engine,
         "placement": placement,
-        "config_fingerprint": config_fingerprint(cfg),
-        "fault_plan": (
-            {"name": fault_plan.name,
-             "fingerprint": plan_fingerprint(fault_plan)}
-            if fault_plan is not None else None
-        ),
+        "config_fingerprint": config,
+        "trace": trace,
+        "fault_plan": plan,
         "seed": seed,
         "ops_scale": ops_scale,
     }
+    return record, "-".join(p.replace("/", "_") for p in parts)
 
 
-def _slug(cell: dict) -> str:
-    """The slug of a manifest's ``cell`` record."""
-    parts = [cell["workload"], cell["protocol"],
-             cell["config_fingerprint"][:8], cell["placement"]]
-    plan = cell["fault_plan"]
-    if plan is not None:
-        parts.append(f"{plan['name']}-{plan['fingerprint'][:8]}")
-    return "-".join(p.replace("/", "_") for p in parts)
-
-
-def cell_slug(workload: str, protocol: str, cfg, placement: str,
-              fault_plan=None) -> str:
-    """Filesystem-safe unique name for one sweep cell."""
-    return _slug(_cell(workload, protocol, cfg, placement, fault_plan))
-
-
-def cell_manifest(result: SimResult, *, workload: str, protocol: str,
-                  cfg, placement: str = "first_touch", fault_plan=None,
-                  seed: int = None, ops_scale: float = None,
-                  engine: str = "throughput") -> dict:
-    """Deterministic digest of one completed cell."""
+def cell_manifest(result: SimResult, cell: dict) -> dict:
+    """Deterministic digest of one completed cell; ``cell`` is its
+    :func:`cell_record`."""
     name, index, cycles = result.resources.bottleneck()
     return {
         "schema": SCHEMA,
-        "cell": _cell(workload, protocol, cfg, placement, fault_plan,
-                      seed, ops_scale, engine),
+        "cell": cell,
         "platform": {
-            "num_gpus": cfg.num_gpus,
-            "gpms_per_gpu": cfg.gpms_per_gpu,
+            "num_gpus": result.cfg.num_gpus,
+            "gpms_per_gpu": result.cfg.gpms_per_gpu,
         },
         "time": {
             "cycles": result.cycles,
@@ -160,20 +160,18 @@ def write_json(path, payload) -> None:
 
 def write_cell_artifacts(out_dir, result: SimResult, *, workload: str,
                          protocol: str, cfg, placement: str,
-                         fault_plan=None, seed: int = None,
+                         fault_plan=None, trace: str, seed: int = None,
                          ops_scale: float = None,
                          engine: str = "throughput",
                          derived_from: str = None) -> str:
-    """Write ``<slug>.metrics.json`` + ``<slug>.perf.json``; returns slug."""
+    """Write ``<slug>.metrics.json`` + ``<slug>.perf.json``; returns
+    slug.  The cell is named as in :func:`cell_record`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = cell_manifest(
-        result, workload=workload, protocol=protocol, cfg=cfg,
-        placement=placement, fault_plan=fault_plan, seed=seed,
-        ops_scale=ops_scale, engine=engine,
-    )
-    slug = _slug(manifest["cell"])
-    write_json(out / f"{slug}.metrics.json", manifest)
+    cell, slug = cell_record(workload, protocol, cfg, placement,
+                             fault_plan, trace=trace, seed=seed,
+                             ops_scale=ops_scale, engine=engine)
+    write_json(out / f"{slug}.metrics.json", cell_manifest(result, cell))
     write_json(out / f"{slug}.perf.json",
                perf_sidecar(result, derived_from))
     return slug

@@ -73,10 +73,11 @@ def observe(args) -> Path:
     """Run the cell and write all artifacts; returns the out dir."""
     from repro.engine.simulator import simulate
     from repro.telemetry.interval import read_jsonl
-    from repro.telemetry.manifest import (cell_manifest, cell_slug,
+    from repro.telemetry.manifest import (cell_manifest, cell_record,
                                           perf_sidecar, write_json)
     from repro.telemetry.report import render_report
     from repro.telemetry.session import TelemetrySession
+    from repro.trace.cache import geometry_fingerprint
     from repro.trace.workloads import WORKLOADS
 
     cfg = SystemConfig.paper_scaled(args.scale)
@@ -88,6 +89,11 @@ def observe(args) -> Path:
         from repro.faults import make_fault_plan
 
         plan = make_fault_plan(args.fault_plan, seed=args.seed)
+    cell, slug = cell_record(
+        args.workload, args.protocol, cfg, args.placement, plan,
+        trace=geometry_fingerprint(cfg), seed=args.seed,
+        ops_scale=args.ops_scale, engine=args.engine,
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -98,8 +104,7 @@ def observe(args) -> Path:
 
         RunRegistry(args.registry or DEFAULT_REGISTRY).register_observe(
             out,
-            slug=cell_slug(args.workload, args.protocol, cfg,
-                           args.placement, plan),
+            slug=slug,
             cell={"workload": args.workload, "protocol": args.protocol,
                   "engine": args.engine, "seed": args.seed},
         )
@@ -119,12 +124,7 @@ def observe(args) -> Path:
 
     session.tracer.write(out / "trace.json")
     session.sampler.write_jsonl(out / "intervals.jsonl")
-    manifest = cell_manifest(
-        result, workload=args.workload, protocol=args.protocol, cfg=cfg,
-        placement=args.placement, fault_plan=plan, seed=args.seed,
-        ops_scale=args.ops_scale, engine=args.engine,
-    )
-    write_json(out / "metrics.json", manifest)
+    write_json(out / "metrics.json", cell_manifest(result, cell))
     write_json(out / "perf.json", perf_sidecar(result))
 
     # Render from the *written* artifacts — every observe run doubles

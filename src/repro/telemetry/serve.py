@@ -207,7 +207,7 @@ class Observatory:
         """The intervals.jsonl behind ``/cells/<slug>/intervals``.
 
         Matches registered observe captures by exact slug, then by slug
-        prefix (slugs embed config fingerprints callers may truncate),
+        prefix (slugs embed hex digests callers may truncate),
         then any run directory holding ``<slug>.intervals.jsonl``.
         """
         observes = [e for e in self.registry_entries()

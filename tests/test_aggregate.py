@@ -142,6 +142,26 @@ class TestLoadRun:
         ])
         assert speedups == {"hmg": 2.0}
 
+    def test_geomean_groups_by_trace_geometry(self, tmp_path):
+        """Two noremote/hmg pairs that differ only in the trace geometry
+        they simulated are two speedups, not one."""
+        for trace, hmg_cycles in (("t1", 50.0), ("t2", 25.0)):
+            for protocol, cycles in (("noremote", 100.0),
+                                     ("hmg", hmg_cycles)):
+                slug = f"w-{protocol}-{trace}-first_touch"
+                (tmp_path / f"{slug}.metrics.json").write_text(json.dumps({
+                    "schema": 1,
+                    "cell": {"workload": "w", "protocol": protocol,
+                             "placement": "first_touch",
+                             "config_fingerprint": "feedface",
+                             "trace": trace, "fault_plan": None},
+                    "time": {"cycles": cycles},
+                }))
+        run = load_run(tmp_path)
+        assert sorted(c["trace"] for c in run["cells"]) == \
+            ["t1", "t1", "t2", "t2"]
+        assert abs(run["geomean_speedups"]["hmg"] - 8 ** 0.5) < 1e-12
+
 
 class TestRegressionView:
     def _bench(self, tmp_path):

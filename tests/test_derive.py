@@ -4,8 +4,8 @@ bandwidth or fault plan are rolled up from it, not re-simulated.
 :func:`repro.engine.stats.derive` must equal ``simulate`` in every
 ``SimResult`` field but ``wall_seconds``, for bases from both throughput
 engines; the runner must derive exactly when a completed base with no
-fault plan (or a no-op one) shares the cell's functional key, and must
-never compute that key for cells the results store replays.
+fault plan (or a no-op one) shares the cell's twin or the store holds
+the twin, and must never build a twin for cells the store replays.
 """
 
 from __future__ import annotations
@@ -113,6 +113,31 @@ def test_fig12_and_faults_after_fig8_simulate_nothing(simulated):
     assert len(simulated) == 12
 
 
+def test_a_stored_twin_is_a_base_in_the_next_run(tmp_path, simulated):
+    """fig8 stores the default-bandwidth, no-plan twin of every fig12
+    and faults cell, so a second run on the store simulates nothing
+    and prints what a run without a store prints."""
+    fig8(_context(store=str(tmp_path / "store")))
+    assert len(simulated) == 12
+    simulated.clear()
+    warm = _context(store=str(tmp_path / "store"))
+    texts = [str(fig12(warm)), str(faults(warm))]
+    assert simulated == []
+    fresh = _context()
+    assert texts == [str(fig12(fresh)), str(faults(fresh))]
+
+
+def test_a_twin_lookup_counts_nothing(tmp_path):
+    """A cold run stores every cell it misses, though its first fig12
+    point also looks up its twin in the store, and misses."""
+    ctx = _context(store=str(tmp_path / "store"))
+    fig12(ctx)
+    faults(ctx)
+    stats = ctx.store.stats()
+    assert stats["hits"] == 0
+    assert stats["puts"] == stats["misses"] == 48 + 32
+
+
 def test_fig12_simulates_only_its_first_point(simulated):
     fig12(_context())
     assert [cfg.inter_gpu_bw_gbps for cfg in simulated] == [100.0] * 12
@@ -132,15 +157,14 @@ def test_a_noop_context_plan_still_derives(simulated):
     assert len(simulated) == 12
 
 
-def test_store_replay_computes_no_functional_key(tmp_path, simulated,
-                                                 monkeypatch):
+def test_store_replay_builds_no_twin(tmp_path, simulated, monkeypatch):
     cold = _context(store=str(tmp_path / "store"))
     fig12(cold)
     faults(cold)
     assert cold.store.stats()["puts"] == 48 + 32
     keys = []
-    real = runner._functional_key
-    monkeypatch.setattr(runner, "_functional_key",
+    real = stats.functional_config
+    monkeypatch.setattr(stats, "functional_config",
                         lambda *args: keys.append(args) or real(*args))
     simulated.clear()
     warm = _context(store=str(tmp_path / "store"))

@@ -9,7 +9,6 @@ import pytest
 from repro.config import SystemConfig
 from repro.experiments import cli
 from repro.experiments.fabric import FabricStats, retry_delay
-from repro.experiments.parallel import Cell, cell_fingerprint
 from repro.experiments.runner import ExperimentContext
 from repro.faults.chaos import ChaosError, ChaosPlan, ChaosSpec
 
@@ -20,7 +19,9 @@ PROTOCOLS = ["sw", "hmg"]
 
 
 def _fingerprint(workload, protocol):
-    return cell_fingerprint(Cell(workload, protocol, CFG))
+    """The fabric fingerprint of one cell of :func:`_sweep`'s grid."""
+    return ExperimentContext(CFG, **QUICK).cell(workload,
+                                                 protocol).fingerprint
 
 
 class TargetedChaos(ChaosPlan):
@@ -224,7 +225,8 @@ class TestCliIntegration:
         def chaotic_init(self, *a, **kw):
             original_init(self, *a, **kw)
             self._executor.chaos = TargetedChaos(
-                [_fingerprint("CoMD", "hmg")], "error", attempts=None)
+                [self.cell("CoMD", "hmg").fingerprint], "error",
+                attempts=None)
             self._executor.max_retries = 0
 
         monkeypatch.setattr(ExperimentContext, "__init__", chaotic_init)

@@ -9,7 +9,6 @@ import pytest
 from repro.config import SystemConfig
 from repro.experiments import cli
 from repro.experiments.parallel import (
-    Cell,
     cell_key,
     config_fingerprint,
     plan_fingerprint,
@@ -56,11 +55,11 @@ class TestCellKeys:
         from types import SimpleNamespace
 
         from repro.experiments import parallel
-        from repro.telemetry.manifest import (cell_manifest, cell_slug,
+        from repro.telemetry.manifest import (cell_manifest, cell_record,
                                               write_cell_artifacts)
 
-        result = ExperimentContext(CFG, workloads=WORKLOADS,
-                                   **QUICK).run("CoMD", "hmg")
+        ctx = ExperimentContext(CFG, workloads=WORKLOADS, **QUICK)
+        result = ctx.run("CoMD", "hmg")
         hashed = []
 
         def sha256(data):
@@ -71,13 +70,13 @@ class TestCellKeys:
                             SimpleNamespace(sha256=sha256))
         cfg = CFG.replace(inter_gpu_bw_gbps=CFG.inter_gpu_bw_gbps)
         fp = config_fingerprint(cfg)
-        cell_key("CoMD", "hmg", cfg, "first_touch", None)
-        slug = cell_slug("CoMD", "hmg", cfg, "first_touch")
-        manifest = cell_manifest(result, workload="CoMD", protocol="hmg",
-                                 cfg=cfg)
-        assert write_cell_artifacts(tmp_path, result, workload="CoMD",
-                                    protocol="hmg", cfg=cfg,
-                                    placement="first_touch") == slug
+        cell = ctx.cell("CoMD", "hmg", cfg)
+        assert cell.key[0] == cell_key("CoMD", "hmg", cfg, "first_touch",
+                                       None)
+        record, slug = cell_record(**cell.identity())
+        manifest = cell_manifest(result, record)
+        assert write_cell_artifacts(tmp_path, result,
+                                    **cell.identity()) == slug
         assert manifest["cell"]["config_fingerprint"] == fp
         assert hashed == [repr(cfg).encode()]
         # Another object equal by value is hashed for itself.
@@ -179,20 +178,43 @@ class TestWorkerPlumbing:
     def test_cell_is_picklable(self):
         import pickle
 
-        cell = Cell("CoMD", "hmg", CFG, "first_touch", PLAN)
+        cell = ExperimentContext(CFG, **QUICK).cell("CoMD", "hmg",
+                                                    fault_plan=PLAN)
         clone = pickle.loads(pickle.dumps(cell))
         assert clone.workload == "CoMD"
         assert clone.cfg == CFG
         assert clone.fault_plan.name == PLAN.name
+        assert clone.key == cell.key
 
-    def test_run_cell_matches_context_run(self):
+    def test_run_cell_matches_context_run(self, monkeypatch):
+        from repro.experiments import parallel
         from repro.experiments.parallel import run_cell
 
-        direct = run_cell((Cell("CoMD", "hmg", CFG), 1, 0.05, False,
-                           None))
-        via_ctx = ExperimentContext(CFG, **QUICK).run("CoMD", "hmg")
+        # A worker's trace memo, not this process's.
+        monkeypatch.setattr(parallel, "_worker_traces", {})
+        ctx = ExperimentContext(CFG, **QUICK)
+        direct = run_cell((ctx.cell("CoMD", "hmg"), None))
+        via_ctx = ctx.run("CoMD", "hmg")
         assert direct.cycles == via_ctx.cycles
         assert direct.ops == via_ctx.ops
+
+    def test_a_lone_cell_leaves_workers_the_trace_cache(self, tmp_path,
+                                                        monkeypatch):
+        """A one-cell batch under ``jobs > 1`` simulates on the
+        context's trace memo, so workers forked later still read and
+        fill the trace cache for its workload."""
+        from repro.experiments import parallel
+        from repro.trace.cache import TraceCache
+
+        monkeypatch.setattr(parallel, "_worker_traces", {})
+        ExperimentContext(CFG, jobs=2, **QUICK).run_many([("mst", "hmg")])
+        assert parallel._worker_traces == {}
+        cache = TraceCache(tmp_path / "tc")
+        ExperimentContext(CFG, jobs=2, trace_cache=cache, **QUICK).run_many(
+            [(workload, protocol) for workload in ("mst", "CoMD")
+             for protocol in ("hmg", "sw")])
+        assert {p.name for p in cache.root.glob("*.trc")} == {
+            cache.path(w, CFG, 1, 0.05).name for w in ("mst", "CoMD")}
 
 
 class TestCli:
@@ -296,6 +318,26 @@ class TestSubExperiments:
                 one.sanitize) == (ctx.seed, ctx.ops_scale, ctx.workloads,
                                   ctx.fault_plan, ctx.sanitize)
         assert one.store is ctx.store and one._executor is ctx._executor
+
+    def test_manifest_names_the_trace_geometry(self, tmp_path):
+        """One run config simulated on two traces leaves two manifests,
+        each naming the trace geometry it simulated."""
+        from repro.trace.cache import geometry_fingerprint
+
+        ctx = ExperimentContext(CFG, workloads=WORKLOADS,
+                                telemetry_dir=tmp_path, **QUICK)
+        big_cfg = CFG.replace(l2_bytes_per_gpu=4 * CFG.l2_bytes_per_gpu)
+        results = [ctx.run("CoMD", "hmg"),
+                   ctx.derive(big_cfg).run("CoMD", "hmg", cfg=CFG)]
+        written = ctx.manifests_written
+        assert len(written) == len(set(written)) == 2
+        manifests = [json.loads((tmp_path / f"{slug}.metrics.json")
+                                .read_text()) for slug in written]
+        assert [m["cell"]["trace"] for m in manifests] == [
+            geometry_fingerprint(CFG), geometry_fingerprint(big_cfg)]
+        assert [m["work"]["ops"] for m in manifests] == \
+            [r.ops for r in results]
+        assert results[0].ops != results[1].ops
 
     def test_memo_names_the_trace_config(self):
         """One run config simulated on two traces is two cells."""

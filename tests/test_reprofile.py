@@ -116,6 +116,22 @@ class TestViolationTransport:
         assert "two writers" in str(v2)
 
 
+def _worker_raises_in(tripped):
+    """A stand-in for ``SweepExecutor.run`` whose worker trips the
+    sanitizer in ``tripped`` and tags the violation as
+    ``parallel.run_cell`` does."""
+
+    def run(cells):
+        v = CoherenceViolation("swmr-at-scope", "stub")
+        v.cell_info = {"workload": tripped.workload,
+                       "protocol": tripped.protocol,
+                       "placement": tripped.placement,
+                       "fingerprint": tripped.fingerprint}
+        raise v
+
+    return run
+
+
 class TestRunnerReproDir:
     def test_serial_violation_dumps_repro(self, tmp_path, cfg,
                                           monkeypatch):
@@ -157,18 +173,27 @@ class TestRunnerReproDir:
                                 sanitize=True, repro_dir=str(tmp_path),
                                 jobs=2)
 
-        def worker_raises(cells):
-            v = CoherenceViolation("swmr-at-scope", "stub")
-            v.cell_info = {"workload": "CoMD", "protocol": "hmg",
-                           "placement": "first_touch"}
-            raise v
-
-        ctx._executor.run = worker_raises
+        ctx._executor.run = _worker_raises_in(ctx.cell("CoMD", "hmg"))
         with pytest.raises(CoherenceViolation):
             ctx.run_many([("CoMD", "nhcc"), ("CoMD", "hmg")])
         files = sorted(tmp_path.glob("*.json"))
         assert [f.name for f in files] == \
             ["trace_CoMD_hmg_throughput_swmr-at-scope.json"]
+
+    def test_parallel_branch_dumps_the_cell_that_tripped(self, tmp_path,
+                                                         cfg):
+        """Cells that differ only in placement are told apart: the
+        repro names the placement of the cell the worker tagged."""
+        ctx = ExperimentContext(cfg, seed=1, ops_scale=0.03,
+                                sanitize=True, repro_dir=str(tmp_path),
+                                jobs=2)
+        ctx._executor.run = _worker_raises_in(
+            ctx.cell("CoMD", "hmg", placement="round_robin"))
+        with pytest.raises(CoherenceViolation):
+            ctx.run_many([("CoMD", "hmg", None, "first_touch"),
+                          ("CoMD", "hmg", None, "round_robin")])
+        (path,) = tmp_path.glob("*.json")
+        assert reprofile.load(path)["placement"] == "round_robin"
 
     def test_no_repro_dir_still_raises(self, cfg, monkeypatch):
         monkeypatch.setattr(HMGProtocol, "_inv_sharers",

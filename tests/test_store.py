@@ -9,11 +9,9 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.experiments import store as store_mod
-from repro.experiments.parallel import cell_key
 from repro.experiments.runner import ExperimentContext
-from repro.experiments.store import ResultStore, store_key
+from repro.experiments.store import ResultStore
 from repro.faults.chaos import truncate_tail
-from repro.trace.cache import geometry_fingerprint
 
 CFG = SystemConfig.paper_scaled(1 / 64)
 QUICK = dict(seed=1, ops_scale=0.05)
@@ -25,9 +23,8 @@ def _simulate_one():
 
 
 def _key(seed=1, ops_scale=0.05, protocol="hmg", trace_cfg=CFG):
-    return store_key(cell_key("CoMD", protocol, CFG, "first_touch",
-                              None), seed, ops_scale,
-                     trace=geometry_fingerprint(trace_cfg))
+    ctx = ExperimentContext(trace_cfg, seed=seed, ops_scale=ops_scale)
+    return ctx.cell("CoMD", protocol, CFG).store_key
 
 
 @pytest.fixture
@@ -58,6 +55,26 @@ class TestStoreKey:
         assert base != _key(protocol="sw")
         assert base != _key(trace_cfg=CFG.replace(
             l2_bytes_per_gpu=4 * CFG.l2_bytes_per_gpu))
+
+    def test_engine_keys_apart(self, tmp_path):
+        """A result stored for a cell's vectorized request never
+        replays for its scalar request."""
+        import dataclasses
+
+        from repro.engine.simulator import simulate
+
+        ctx = ExperimentContext(CFG, store=tmp_path / "s", **QUICK)
+        scalar = ctx.cell("CoMD", "hmg")
+        vectorized = dataclasses.replace(scalar, engine="vectorized")
+        assert vectorized.store_key != scalar.store_key
+        ctx.store.put(vectorized.store_key, simulate(
+            ctx.trace("CoMD"), CFG, protocol="hmg", engine="vectorized",
+            workload_name="CoMD"))
+        result = ctx.run("CoMD", "hmg")
+        assert ctx.store.hits == 0
+        assert result.engine_used == "throughput"
+        assert ctx.store.get(vectorized.store_key).engine_used == \
+            "vectorized"
 
     def test_source_edit_changes_key(self, package_copy):
         """The key names the simulator's source: a copy of the package
@@ -281,7 +298,7 @@ class TestRecordFormat:
             store.put(_key(), result)
         (line,) = (tmp_path / "s").glob("shard-*.jsonl")
         record = json.loads(line.read_text())
-        assert record["v"] == store_mod.SCHEMA == 2
+        assert record["v"] == store_mod.SCHEMA == 3
         replayed = pickle.loads(zlib.decompress(
             base64.b64decode(record["blob"])))
         assert replayed.cycles == result.cycles
@@ -300,6 +317,27 @@ class TestRecordFormat:
         AppendLog(root / f"shard-{_key()[0]}.jsonl").append({
             "v": 1, "key": _key(), "workload": "CoMD", "protocol": "hmg",
             "blob": base64.b64encode(pickle.dumps(result)).decode()})
+        with ResultStore(root) as store:
+            assert store.get(_key()) is None
+            assert store.corrupt_records == 1
+        assert "corrupt record" in capsys.readouterr().err
+
+    def test_v2_record_warns_and_recomputes(self, tmp_path, capsys):
+        """A schema-2 record (compressed, keyed without the engine) is
+        a miss too: the engine's addition recomputes every cell once."""
+        import base64
+        import pickle
+        import zlib
+
+        from repro.applog import AppendLog
+
+        result = _simulate_one()
+        root = tmp_path / "s"
+        ResultStore(root)
+        AppendLog(root / f"shard-{_key()[0]}.jsonl").append({
+            "v": 2, "key": _key(), "workload": "CoMD", "protocol": "hmg",
+            "blob": base64.b64encode(zlib.compress(
+                pickle.dumps(result))).decode()})
         with ResultStore(root) as store:
             assert store.get(_key()) is None
             assert store.corrupt_records == 1
