@@ -121,20 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "anyone reaching the port can execute "
                              "code — only for isolated networks)")
     parser.add_argument("--min-workers", type=int, default=1, metavar="N",
-                        help="wait for N connected workers before "
-                             "leasing the first cell (default 1)")
-    parser.add_argument("--lease-ttl", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="base lease deadline per cell; an expired "
-                             "lease is reclaimed and re-dispatched "
-                             "(default 30; jittered 100-150%% per cell)")
-    parser.add_argument("--lease-size", type=int, default=1, metavar="N",
-                        help="cells handed out per lease (default 1)")
+                        help="wait for N connected --listen workers "
+                             "before leasing the first cell (default 1)")
     parser.add_argument("--cell-timeout", type=float, default=0.0,
                         metavar="SECONDS",
-                        help="kill and retry any sweep cell running "
-                             "longer than this (0 = unlimited; "
-                             "parallel runs only)")
+                        help="seconds a sweep cell may run before its "
+                             "lease is reclaimed and the cell retried; "
+                             "a local worker is killed and respawned "
+                             "(0 = no deadline, the default; jittered "
+                             "100-150%% per cell; --jobs and --listen "
+                             "runs only)")
     parser.add_argument("--max-retries", type=int, default=2,
                         metavar="N",
                         help="attempts beyond the first for a sweep "
@@ -263,7 +259,7 @@ def main(argv=None) -> int:
     if argv and argv[0] == "worker":
         # Distributed-sweep worker: joins a coordinator started with
         # --listen and executes leased cells until dismissed.
-        from repro.experiments.fabric_net import worker_cli
+        from repro.experiments.fabric import worker_cli
 
         return worker_cli(argv[1:])
     args = build_parser().parse_args(argv)
@@ -284,13 +280,13 @@ def main(argv=None) -> int:
     fabric_authkey = (args.fabric_authkey
                       or os.environ.get("REPRO_FABRIC_AUTHKEY"))
     if args.listen is not None:
-        from repro.experiments.fabric_net import check_listen_security
+        from repro.experiments.fabric import check_listen_security
 
         try:
             check_listen_security(args.listen, fabric_authkey,
                                   args.insecure_fabric)
         except ValueError as exc:
-            print(f"fabric-net: {exc}", file=sys.stderr)
+            print(f"fabric: {exc}", file=sys.stderr)
             return 2
 
     journal = None
@@ -365,8 +361,6 @@ def main(argv=None) -> int:
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
         listen=args.listen,
-        lease_ttl=args.lease_ttl,
-        lease_size=args.lease_size,
         min_workers=args.min_workers,
         fleet_registry=registry if fleet_dir is not None else None,
         fleet_dir=fleet_dir,
@@ -417,7 +411,7 @@ def main(argv=None) -> int:
             if journal is not None:
                 journal.record_experiment(result)
 
-    ctx.close()  # dismisses a --listen fleet; no-op otherwise
+    ctx.close()  # dismisses the sweep's workers, local or remote
     if ctx.store is not None:
         stats = ctx.store.stats()
         print(f"results store: {stats['hits']} replayed, "

@@ -143,6 +143,13 @@ class Cell:
     sanitize: bool
     engine: str = "throughput"
 
+    def __getstate__(self) -> dict:
+        """The fields only: the keys computed on the instance stay
+        behind, so a dispatched cell pickles to the bytes of a fresh
+        equal cell."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+
     @functools.cached_property
     def geometry(self) -> str:
         """The trace geometry: ``trace_cfg``'s
@@ -267,16 +274,16 @@ def run_cell(payload):
 class SweepExecutor:
     """Maps unique cells onto the sweep fabric, in deterministic order.
 
-    The executor owns no state between calls beyond its settings and
-    counters; the caller
-    (:class:`~repro.experiments.runner.ExperimentContext`) holds the
-    result memo, the results store, and the manifests, and simulates a
-    lone cell itself.  Cells run on the fault-tolerant scheduler of
-    :mod:`repro.experiments.fabric` — per-cell timeouts, bounded seeded
-    retries, heartbeat-driven work stealing — or, under ``--listen``, on
-    the lease coordinator; a cell that exhausts its retries comes back
-    as ``None`` with a :class:`~repro.experiments.fabric.FailedCell`
-    record in :attr:`failed` instead of aborting the sweep.
+    The caller (:class:`~repro.experiments.runner.ExperimentContext`)
+    holds the result memo, the results store, and the manifests, and
+    simulates a lone cell itself.  Cells run on the lease coordinator of
+    :mod:`repro.experiments.fabric` — ``jobs`` local worker processes,
+    forked at the first batch and kept until :meth:`close`, or under
+    ``--listen`` a fleet of remote workers — with per-cell deadlines,
+    bounded seeded retries and heartbeat-driven re-queues; a cell that
+    exhausts its retries comes back as ``None`` with a
+    :class:`~repro.experiments.fabric.FailedCell` record in
+    :attr:`failed` instead of aborting the sweep.
     """
 
     jobs: int = 1
@@ -288,13 +295,11 @@ class SweepExecutor:
     retry_backoff: float = 0.5
     heartbeat_interval: float = 0.25
     #: ``HOST:PORT`` to serve a distributed fleet from (``--listen``).
-    #: When set, cells run on remote workers via the lease coordinator
-    #: of :mod:`repro.experiments.fabric_net` instead of local
+    #: When set, cells run on remote workers instead of local
     #: processes; ``jobs`` is ignored.
     listen: Optional[str] = None
-    #: Distributed-fabric policy knobs (``--lease-ttl`` etc.).
-    lease_ttl: float = 30.0
-    lease_size: int = 1
+    #: Remote workers to wait for before the first lease
+    #: (``--min-workers``).
     min_workers: int = 1
     #: Shared secret for the fabric's HMAC handshake; binding a
     #: non-loopback --listen without one requires the explicit
@@ -305,8 +310,9 @@ class SweepExecutor:
     #: (``observe --serve`` reads these back at ``/fleet``).
     fleet_registry: object = None
     fleet_dir: Optional[str] = None
-    #: Optional :class:`repro.faults.chaos.ChaosPlan` shipped into the
-    #: workers (the chaos harness's hook; None in normal operation).
+    #: Optional :class:`repro.experiments.chaos.ChaosPlan` shipped into
+    #: local workers (the chaos harness's hook; None in normal
+    #: operation).
     chaos: object = None
     #: Optional telemetry tracer receiving fabric events.
     tracer: object = None
@@ -314,11 +320,14 @@ class SweepExecutor:
     cells_run: int = field(default=0, compare=False)
     #: ``(cell, FailedCell)`` pairs from every batch so far.
     failed: list = field(default_factory=list, compare=False)
-    #: Aggregated :class:`~repro.experiments.fabric.FabricStats` over
-    #: every parallel batch (None until the fabric first runs).
+    #: :class:`~repro.experiments.fabric.FabricStats` over every batch
+    #: (None until the fabric first runs).
     fabric_stats: object = field(default=None, compare=False)
-    #: Lazily-created persistent lease coordinator (distributed mode).
+    #: The lease coordinator, created at the first batch, and the
+    #: finalizer that dismisses its workers on :meth:`close` or when
+    #: the executor is garbage-collected.
     _coordinator: object = field(default=None, compare=False, repr=False)
+    _dismiss: object = field(default=None, compare=False, repr=False)
 
     @property
     def distributed(self) -> bool:
@@ -326,38 +335,47 @@ class SweepExecutor:
 
     def coordinator(self):
         """The persistent lease coordinator (created on first use so a
-        fully-memoized sweep never binds a socket)."""
+        sweep that dispatches nothing forks no worker and binds no
+        socket)."""
         if self._coordinator is None:
-            from repro.experiments.fabric_net import (
-                NetFabricCoordinator,
+            from repro.experiments.fabric import (
+                FabricCoordinator,
+                FabricStats,
                 parse_address,
             )
 
-            self._coordinator = NetFabricCoordinator(
-                parse_address(self.listen),
+            if self.fabric_stats is None:
+                self.fabric_stats = FabricStats()
+            self._coordinator = FabricCoordinator(
+                parse_address(self.listen) if self.distributed else None,
+                jobs=self.jobs,
                 seed=self.seed,
-                lease_ttl=self.lease_ttl,
-                lease_size=self.lease_size,
+                cell_timeout=self.cell_timeout,
                 max_retries=self.max_retries,
                 retry_backoff=self.retry_backoff,
                 heartbeat_interval=self.heartbeat_interval,
                 min_workers=self.min_workers,
+                chaos=self.chaos,
                 registry=self.fleet_registry,
                 fleet_dir=self.fleet_dir,
                 tracer=self.tracer,
                 authkey=self.authkey,
                 allow_unauthenticated=self.allow_unauthenticated,
+                stats=self.fabric_stats,
             )
-            import sys
+            self._dismiss = weakref.finalize(self, self._coordinator.close)
+            if self.distributed:
+                import sys
 
-            print("fabric-net: coordinating on %s:%d"
-                  % self._coordinator.address, file=sys.stderr)
+                print("fabric: coordinating on %s:%d"
+                      % self._coordinator.address, file=sys.stderr)
         return self._coordinator
 
     def close(self) -> None:
-        """Dismiss the distributed fleet, if one was ever convened."""
+        """Dismiss the workers, if any were ever started; the executor
+        stays usable and starts new ones at its next batch."""
         if self._coordinator is not None:
-            self._coordinator.close()
+            self._dismiss()
             self._coordinator = None
 
     def run(self, cells, progress=None):
@@ -374,45 +392,15 @@ class SweepExecutor:
         """
         cells = list(cells)
         self.cells_run += len(cells)
-        tasks = [((cell, self.trace_cache_dir), cell.fingerprint)
-                 for cell in cells]
         on_result = None
         if progress is not None:
             on_result = lambda _index, result: progress.update(result)  # noqa: E731
-        if self.distributed:
-            return self._run_distributed(cells, tasks, on_result)
-
-        from repro.experiments.fabric import FabricScheduler, FabricStats
-
-        scheduler = FabricScheduler(
-            min(self.jobs, len(cells)),
-            seed=self.seed,
-            cell_timeout=self.cell_timeout,
-            max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-            heartbeat_interval=self.heartbeat_interval,
-            chaos=self.chaos,
-            tracer=self.tracer,
-        )
-        results = scheduler.run(tasks, on_result=on_result)
-        if self.fabric_stats is None:
-            self.fabric_stats = FabricStats()
-        self.fabric_stats.merge(scheduler.stats)
-        for failure in scheduler.failed:
-            self.failed.append((cells[failure.index], failure))
-        return results
-
-    def _run_distributed(self, cells, tasks, on_result):
-        """One batch on the lease coordinator (``--listen`` mode)."""
-        from repro.experiments.fabric_net import NetFabricStats
-
         coordinator = self.coordinator()
         base_failed = len(coordinator.failed)
-        results = coordinator.run(tasks, on_result=on_result)
-        # The coordinator persists across batches and accumulates its
-        # own counters, so expose its stats object directly.
-        if not isinstance(self.fabric_stats, NetFabricStats):
-            self.fabric_stats = coordinator.stats
+        results = coordinator.run(
+            [((cell, self.trace_cache_dir), cell.fingerprint)
+             for cell in cells],
+            on_result=on_result)
         for failure in coordinator.failed[base_failed:]:
             self.failed.append((cells[failure.index], failure))
         return results

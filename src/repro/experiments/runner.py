@@ -140,8 +140,7 @@ class ExperimentContext:
                  telemetry_dir=None, progress: bool = False,
                  store=None, cell_timeout: float = 0.0,
                  max_retries: int = 2, retry_backoff: float = 0.5,
-                 listen=None, lease_ttl: float = 30.0,
-                 lease_size: int = 1, min_workers: int = 1,
+                 listen=None, min_workers: int = 1,
                  fleet_registry=None, fleet_dir=None,
                  fabric_authkey=None,
                  insecure_fabric: bool = False):
@@ -165,8 +164,8 @@ class ExperimentContext:
                              if trace_cache is not None else None),
             cell_timeout=cell_timeout, max_retries=max_retries,
             retry_backoff=retry_backoff,
-            listen=listen, lease_ttl=lease_ttl, lease_size=lease_size,
-            min_workers=min_workers, fleet_registry=fleet_registry,
+            listen=listen, min_workers=min_workers,
+            fleet_registry=fleet_registry,
             fleet_dir=fleet_dir, authkey=fabric_authkey,
             allow_unauthenticated=insecure_fabric,
         )
@@ -199,7 +198,7 @@ class ExperimentContext:
     _results = property(lambda self: self.services.results)
 
     def close(self) -> None:
-        """Release executor resources (dismisses a distributed fleet)."""
+        """Dismiss the sweep's workers; the context stays usable."""
         self.services.executor.close()
 
     def trace(self, workload: str) -> Trace:

@@ -1,11 +1,10 @@
 """Fault injection: deterministic interconnect degradation plans.
 
-See :mod:`repro.faults.plan` for the simulated-fabric model,
-:mod:`repro.faults.chaos` for the host-level sweep adversary, and
-:mod:`repro.experiments.faults` for the experiment built on it.
+See :mod:`repro.faults.plan` for the simulated-fabric model and
+:mod:`repro.experiments.faults` for the experiment built on it.  The
+host-level sweep adversary is :mod:`repro.experiments.chaos`.
 """
 
-from repro.faults.chaos import ChaosError, ChaosPlan, ChaosSpec
 from repro.faults.plan import (
     FAULT_PLANS,
     FaultPlan,
@@ -18,9 +17,6 @@ from repro.faults.plan import (
 
 __all__ = [
     "FAULT_PLANS",
-    "ChaosError",
-    "ChaosPlan",
-    "ChaosSpec",
     "FaultPlan",
     "LinkFaultProfile",
     "LinkFaultSpec",

@@ -145,7 +145,7 @@ class Observatory:
 
     def fleet_payload(self) -> dict:
         """Distributed-sweep fleets the registry knows about: worker
-        liveness and lease state, as last published by each fabric-net
+        liveness and lease state, as last published by each ``--listen``
         coordinator (kind="fleet" records)."""
         fleets = []
         for entry in self.registry_entries():
@@ -575,7 +575,7 @@ BENCH_perf.json history + discovered runs)</span></h2>
   <th class="num">vs baseline</th><th>gate</th>
 </tr></thead><tbody></tbody></table>
 <h2>Fleet <span class="sub">(distributed sweep workers and lease
-state, as last published by each fabric-net coordinator)</span></h2>
+state, as last published by each --listen coordinator)</span></h2>
 <table id="fleet"><thead><tr>
   <th>sweep</th><th>coordinator</th><th>worker</th><th>state</th>
   <th class="num">cells done</th><th class="num">silent (s)</th>

@@ -117,7 +117,7 @@ class RunRegistry:
                        leases: dict = None, stats: dict = None) -> dict:
         """Register a distributed sweep fleet's liveness snapshot.
 
-        The fabric-net coordinator republishes this periodically (and on
+        A ``--listen`` coordinator republishes this periodically (and on
         membership changes), so ``observe --serve`` can render worker
         liveness and lease state at ``/fleet`` while a multi-host sweep
         runs.  Keyed on the sweep's telemetry directory like every

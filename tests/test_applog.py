@@ -21,9 +21,9 @@ from pathlib import Path
 import pytest
 
 from repro.applog import AppendLog, atomic_write, decode, encode
+from repro.experiments.chaos import truncate_tail
 from repro.experiments.journal import RunJournal
 from repro.experiments.store import ResultStore
-from repro.faults.chaos import truncate_tail
 from repro.telemetry.session import RunRegistry
 
 TAGS = ("alpha", "bravo", "charlie")

@@ -16,8 +16,8 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.experiments.chaos import truncate_tail
 from repro.experiments.store import ResultStore
-from repro.faults.chaos import truncate_tail
 from repro.telemetry.session import RunRegistry
 
 PER_WRITER = 20

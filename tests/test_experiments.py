@@ -154,7 +154,7 @@ class TestCLI:
     def test_every_help_formats(self):
         # argparse %-formats each help string when it renders --help,
         # so a bare "%" anywhere raises ValueError instead of printing.
-        from repro.experiments.fabric_net import build_worker_parser
+        from repro.experiments.fabric import build_worker_parser
         from repro.experiments.store import build_cli_parser
         from repro.telemetry import observe, serve
         from repro.verify import cli as verify_cli

@@ -8,9 +8,9 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.experiments import cli
+from repro.experiments.chaos import ChaosError, ChaosPlan, ChaosSpec
 from repro.experiments.fabric import FabricStats, retry_delay
 from repro.experiments.runner import ExperimentContext
-from repro.faults.chaos import ChaosError, ChaosPlan, ChaosSpec
 
 CFG = SystemConfig.paper_scaled(1 / 64)
 QUICK = dict(seed=1, ops_scale=0.05)
@@ -39,10 +39,10 @@ class TargetedChaos(ChaosPlan):
 
     def decide(self, fingerprint, attempt):
         if fingerprint not in self.victims:
-            return None
+            return frozenset()
         if self.attempts is not None and attempt > self.attempts:
-            return None
-        return self.attack
+            return frozenset()
+        return frozenset((self.attack,))
 
 
 def _sweep(jobs, chaos=None, **kwargs):
@@ -74,12 +74,12 @@ class TestChaosPlan:
         b = ChaosPlan(spec, seed=9)
         decisions = [a.decide(f"cell{i}", 1) for i in range(50)]
         assert decisions == [b.decide(f"cell{i}", 1) for i in range(50)]
-        assert len(set(decisions)) == 4  # all three attacks + None
+        assert len(set(decisions)) == 4  # all three attacks + none
 
     def test_attacks_bounded_per_cell(self):
         plan = ChaosPlan(ChaosSpec(error_fraction=1.0), seed=1)
-        assert plan.decide("x", 1) == "error"
-        assert plan.decide("x", 2) is None  # retry is always clean
+        assert plan.decide("x", 1) == frozenset({"error"})
+        assert plan.decide("x", 2) == frozenset()  # retry is always clean
 
     def test_apply_raises_transient_error(self):
         plan = ChaosPlan(ChaosSpec(error_fraction=1.0), seed=1)
@@ -102,7 +102,7 @@ class TestCrashRecovery:
         assert recovered.rows == reference.rows
         assert not ctx.failed_cells
         stats = ctx._executor.fabric_stats
-        assert stats.worker_deaths >= 2
+        assert stats.worker_eofs >= 2
         assert stats.respawns >= 2
         assert stats.retries >= 2
         assert serial.manifests_written
@@ -116,7 +116,8 @@ class TestCrashRecovery:
         assert recovered.rows == reference.rows
         assert not ctx.failed_cells
         stats = ctx._executor.fabric_stats
-        assert stats.timeouts >= 1
+        assert stats.reclaims_deadline >= 1
+        assert stats.respawns >= 1  # the hung worker was killed
         assert stats.retries >= 1
 
     def test_transient_error_retried(self):
@@ -243,7 +244,7 @@ class TestCliIntegration:
         assert manifest[0]["protocol"] == "hmg"
         fabric = json.loads((tmp_path / "t" / "fabric.json").read_text())
         assert fabric["failed"] == 1
-        assert "steals" not in fabric
+        assert "leases_issued" not in fabric
         from repro.telemetry.session import RunRegistry
 
         runs = RunRegistry(tmp_path / "reg").runs()

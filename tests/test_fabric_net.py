@@ -1,4 +1,5 @@
-"""Fabric-net: frames, leases, host chaos, fleet liveness, recovery.
+"""The fabric's fleet transport: frames, leases, chaos, fleet
+liveness, recovery.
 
 Unit coverage for the wire format and the deterministic lease/chaos
 math, plus one real coordinator + subprocess-worker sweep that loses a
@@ -24,15 +25,23 @@ import pytest
 
 from repro.applog import encode
 from repro.config import SystemConfig
-from repro.experiments.fabric_net import (
+from repro.experiments.chaos import (
+    ATTACKS,
+    ChaosPlan,
+    ChaosSpec,
+    OneShotHostChaos,
+    chaos_from_json,
+)
+from repro.experiments.fabric import (
     _WELCOME,
+    FabricCoordinator,
+    FabricWorker,
     FrameBuffer,
     FrameError,
-    NetFabricCoordinator,
-    NetFabricStats,
     _Lease,
-    _NetTask,
+    _Task,
     _recv_exact,
+    _recv_frame,
     build_worker_parser,
     check_listen_security,
     encode_frame,
@@ -40,13 +49,6 @@ from repro.experiments.fabric_net import (
     parse_address,
 )
 from repro.experiments.runner import ExperimentContext
-from repro.faults.chaos import (
-    HOST_ATTACKS,
-    HostChaosPlan,
-    HostChaosSpec,
-    OneShotHostChaos,
-    host_chaos_from_json,
-)
 from repro.telemetry.session import REGISTRY_SCHEMA, RunRegistry
 
 REPO = Path(__file__).resolve().parent.parent
@@ -107,7 +109,6 @@ class TestLeaseTtl:
         assert 10.0 <= ttl <= 15.0
         assert lease_ttl_for(1, "abcd", 2, 10.0) != ttl
         assert lease_ttl_for(2, "abcd", 1, 10.0) != ttl
-        assert lease_ttl_for(1, "abcd", 1, 10.0, cells=3) == ttl * 3
 
 
 def _pump(coord, rounds=40, timeout=0.05, on_result=None):
@@ -137,7 +138,7 @@ def _greeted_client(coord, name="w1"):
 
 class TestAuthHandshake:
     def test_correct_key_admits_worker(self):
-        with NetFabricCoordinator(("127.0.0.1", 0),
+        with FabricCoordinator(("127.0.0.1", 0),
                                   authkey=b"sesame") as coord:
             client = socket.create_connection(coord.address, timeout=5)
             client.settimeout(5)
@@ -159,7 +160,7 @@ class TestAuthHandshake:
             client.close()
 
     def test_wrong_key_is_dropped_before_any_pickle(self):
-        with NetFabricCoordinator(("127.0.0.1", 0),
+        with FabricCoordinator(("127.0.0.1", 0),
                                   authkey=b"sesame") as coord:
             client = socket.create_connection(coord.address, timeout=5)
             client.settimeout(5)
@@ -185,7 +186,7 @@ class TestAuthHandshake:
         with pytest.raises(ValueError):
             check_listen_security("0.0.0.0:9100", None, False)
         with pytest.raises(ValueError):
-            NetFabricCoordinator(("0.0.0.0", 0))
+            FabricCoordinator(("0.0.0.0", 0))
         # Either guard satisfies it.
         check_listen_security("0.0.0.0:9100", "key", False)
         check_listen_security("0.0.0.0:9100", None, True)
@@ -197,10 +198,10 @@ class TestAuthHandshake:
 class TestBatchIsolation:
     def test_stale_frames_bounce_off_fingerprint_check(self):
         done = []
-        with NetFabricCoordinator(("127.0.0.1", 0)) as coord:
+        with FabricCoordinator(("127.0.0.1", 0)) as coord:
             client = _greeted_client(coord)
-            coord._tasks = [_NetTask(index=0, payload=None,
-                                     fingerprint="fp-new")]
+            coord._tasks = [_Task(index=0, payload=None,
+                                  fingerprint="fp-new")]
             coord._pending = deque()
             on_result = lambda index, result: done.append(result)  # noqa: E731
 
@@ -236,32 +237,37 @@ class TestBatchIsolation:
             client.close()
 
     def test_run_discards_leases_from_an_aborted_batch(self):
-        with NetFabricCoordinator(("127.0.0.1", 0)) as coord:
+        with FabricCoordinator(("127.0.0.1", 0)) as coord:
             client = _greeted_client(coord)
             worker = coord._workers["w1"]
             # Fabricate an aborted batch's leftovers: a lease whose
             # index set points into a task list that no longer exists.
-            coord._tasks = [_NetTask(index=0, payload=None,
-                                     fingerprint="fp-aborted")]
-            coord._leases[1] = _Lease(
-                id=1, worker="w1", remaining={0},
-                deadline=time.monotonic() + 300, attempt=1,
-            )
-            worker.lease = 1
+            coord._tasks = [_Task(index=0, payload=None,
+                                  fingerprint="fp-aborted")]
+            worker.lease = _Lease(id=1, index=0,
+                                  deadline=time.monotonic() + 300)
 
             assert coord.run([]) == []
 
-            assert coord._leases == {}
-            assert worker.lease is None
+            assert worker.lease.reclaimed
             # Discarding is not a retry: the stale lease must not
             # consume attempts or count as a reclaim.
             assert coord.stats.reclaims == 0
             assert coord.stats.retries == 0
             assert coord.stats.failed == 0
+            # The worker stays busy until it answers; the answer frees
+            # it and bounces off the fingerprint check.
+            client.sendall(encode_frame(("result", 1, 0, "fp-aborted",
+                                         {"cycles": 1})))
+            deadline = time.monotonic() + 5
+            while worker.lease is not None:
+                assert time.monotonic() < deadline
+                _pump(coord, rounds=2)
+            assert coord.stats.stale_frames == 1
             client.close()
 
     def test_bye_and_eof_counted_separately(self):
-        with NetFabricCoordinator(("127.0.0.1", 0)) as coord:
+        with FabricCoordinator(("127.0.0.1", 0)) as coord:
             client = _greeted_client(coord)
             client.sendall(encode_frame(("bye",)))
             deadline = time.monotonic() + 5
@@ -273,23 +279,72 @@ class TestBatchIsolation:
             client.close()
 
 
+class TestReclaims:
+    def test_busy_worker_is_not_leased_again(self, monkeypatch):
+        """A deadline reclaim re-queues the cell but leaves its worker
+        busy until it answers, so a slow cell completes instead of
+        expiring lease after lease on the one busy worker."""
+        from repro.experiments import parallel
+
+        def slow(_payload):
+            time.sleep(3.0)
+            return {"cycles": 1}
+
+        monkeypatch.setattr(parallel, "run_cell", slow)
+        with FabricCoordinator(("127.0.0.1", 0), cell_timeout=0.4,
+                               heartbeat_interval=0.05) as coord:
+            worker = FabricWorker(coord.address, name="w1",
+                                  heartbeat_interval=0.05)
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            results = coord.run([((None, None), "fp-slow")])
+        thread.join(timeout=5)
+        assert results == [{"cycles": 1}]
+        assert not coord.failed
+        assert coord.stats.leases_issued == 1
+        assert coord.stats.reclaims_deadline == 1
+
+    def test_silence_alone_never_fails_a_cell(self):
+        """Heartbeat silence re-queues a cell only while attempts
+        remain; with none left it waits for the silent worker."""
+
+        def silent(address):
+            sock = socket.create_connection(address, timeout=5)
+            sock.sendall(encode_frame(("hello", "quiet")))
+            _kind, lease_id, index, _payload, fingerprint, _attempt = \
+                _recv_frame(sock)
+            time.sleep(1.0)  # computing, without a heartbeat
+            sock.sendall(encode_frame(("result", lease_id, index,
+                                       fingerprint, {"cycles": 2})))
+            _recv_frame(sock)  # the stop broadcast
+            sock.close()
+
+        with FabricCoordinator(("127.0.0.1", 0), max_retries=0,
+                               heartbeat_timeout=0.3) as coord:
+            thread = threading.Thread(target=silent, args=(coord.address,),
+                                      daemon=True)
+            thread.start()
+            assert coord.run([(None, "fp-quiet")]) == [{"cycles": 2}]
+        thread.join(timeout=5)
+        assert not coord.failed
+        assert coord.stats.reclaims == 0
+
+
 class TestHostChaos:
     def test_spec_rejects_bad_fractions(self):
         with pytest.raises(ValueError):
-            HostChaosSpec(kill_fraction=0.6, blackhole_fraction=0.6)
+            ChaosSpec(kill_fraction=0.6, blackhole_fraction=0.6)
         with pytest.raises(ValueError):
-            HostChaosSpec(blackhole_seconds=0.0)
+            ChaosSpec(blackhole_seconds=0.0)
 
     def test_plan_is_pure_and_partitioned(self):
-        spec = HostChaosSpec(kill_fraction=0.2, freeze_fraction=0.2,
-                             sever_fraction=0.2, blackhole_fraction=0.2,
-                             dup_fraction=0.2)
-        a = HostChaosPlan(spec, seed=5)
-        b = HostChaosPlan(spec, seed=5)
+        spec = ChaosSpec(**{f"{kind}_fraction": 1 / 8 for kind in ATTACKS})
+        a = ChaosPlan(spec, seed=5)
+        b = ChaosPlan(spec, seed=5)
         decisions = [a.decide(f"cell{i}", 1) for i in range(100)]
         assert decisions == [b.decide(f"cell{i}", 1) for i in range(100)]
         kinds = set().union(*decisions)
-        assert kinds == set(HOST_ATTACKS)  # every attack reachable
+        assert kinds == set(ATTACKS)  # every attack reachable
         # Retries are clean: attacks_per_cell defaults to 1.
         assert all(a.decide(f"cell{i}", 2) == frozenset()
                    for i in range(100))
@@ -305,39 +360,24 @@ class TestHostChaos:
             OneShotHostChaos(["kill", "meteor"])
 
     def test_from_json(self):
-        plan = host_chaos_from_json(
+        plan = chaos_from_json(
             '{"kill_fraction": 1.0, "blackhole_seconds": 2.5}', seed=3
         )
         assert plan.decide("x", 1) == frozenset({"kill"})
-        assert plan.blackhole_seconds == 2.5
+        assert plan.spec.blackhole_seconds == 2.5
         with pytest.raises(ValueError):
-            host_chaos_from_json("[1, 2]")
-
-
-class TestStats:
-    def test_merge_sums_counters(self):
-        a = NetFabricStats(cells=4, completed=4, reclaims=1,
-                           reclaims_eof=1, worker_connects=2)
-        b = NetFabricStats(cells=2, completed=2, duplicate_results=1,
-                           worker_connects=1)
-        a.merge(b)
-        assert a.cells == 6
-        assert a.completed == 6
-        assert a.reclaims == 1
-        assert a.duplicate_results == 1
-        assert a.worker_connects == 3
-        assert a.as_dict()["reclaims_eof"] == 1
+            chaos_from_json("[1, 2]")
 
 
 class TestStatsSnapshot:
     def test_exposes_counters_plus_fleet_size(self):
-        with NetFabricCoordinator(("127.0.0.1", 0)) as coord:
+        with FabricCoordinator(("127.0.0.1", 0)) as coord:
             client = _greeted_client(coord)
             snapshot = coord.stats_snapshot()
             assert snapshot["workers_connected"] == 1
             assert snapshot["leases_outstanding"] == 0
             assert snapshot["worker_connects"] == 1
-            # Every NetFabricStats counter rides along, by name.
+            # Every FabricStats counter rides along, by name.
             assert set(coord.stats.as_dict()) <= set(snapshot)
             # A snapshot is a copy: mutating it cannot touch the stats.
             snapshot["reclaims"] = 999
@@ -345,7 +385,7 @@ class TestStatsSnapshot:
             client.close()
 
     def test_fleet_snapshot_carries_stats(self):
-        with NetFabricCoordinator(("127.0.0.1", 0)) as coord:
+        with FabricCoordinator(("127.0.0.1", 0)) as coord:
             fleet = coord.fleet_snapshot()
             assert fleet["stats"] == coord.stats_snapshot()
 
@@ -353,7 +393,7 @@ class TestStatsSnapshot:
         registry = RunRegistry(tmp_path / "reg")
         fleet_dir = tmp_path / "sweep"
         fleet_dir.mkdir()
-        with NetFabricCoordinator(("127.0.0.1", 0), registry=registry,
+        with FabricCoordinator(("127.0.0.1", 0), registry=registry,
                                   fleet_dir=fleet_dir) as coord:
             coord.stats.reclaims = 2
             coord._publish_fleet(status="running", force=True)
@@ -498,7 +538,7 @@ class TestDistributedRecovery:
         ctx = ExperimentContext(
             CFG, workloads=WORKLOADS, telemetry_dir=tmp_path / "dist",
             **QUICK,
-            listen="127.0.0.1:0", lease_ttl=5.0, min_workers=1,
+            listen="127.0.0.1:0", cell_timeout=5.0, min_workers=1,
             fleet_registry=registry, fleet_dir=fleet_dir,
             fabric_authkey="fleet-key",  # recovery over the authed wire
         )

@@ -186,6 +186,20 @@ class TestWorkerPlumbing:
         assert clone.fault_plan.name == PLAN.name
         assert clone.key == cell.key
 
+    def test_cell_pickles_only_its_fields(self, tmp_path):
+        """The keys computed on a cell stay out of its pickle, so every
+        lease frame carries only what a worker reads."""
+        import pickle
+
+        ctx = ExperimentContext(CFG, store=tmp_path / "s", **QUICK)
+        cell = ctx.cell("CoMD", "hmg")
+        fresh = pickle.dumps((ctx.cell("CoMD", "hmg"), None))
+        keys = (cell.key, cell.fingerprint, cell.twin.key, cell.store_key)
+        assert pickle.dumps((cell, None)) == fresh
+        clone = pickle.loads(pickle.dumps(cell))
+        assert (clone.key, clone.fingerprint, clone.twin.key,
+                clone.store_key) == keys
+
     def test_run_cell_matches_context_run(self, monkeypatch):
         from repro.experiments import parallel
         from repro.experiments.parallel import run_cell
@@ -404,3 +418,136 @@ class TestManifestContents:
                               .read_text())["cell"]
                    for slug in ctx.manifests_written]
         assert [r["fault_plan"]["name"] for r in records] == [PLAN.name] * 2
+
+
+#: A sweep subprocess whose every cell hangs in its workers; it prints
+#: each worker's pid as the worker is forked.
+_HANGING_SWEEP = """
+import time
+from repro.config import SystemConfig
+from repro.experiments import parallel
+from repro.experiments.fabric import FabricCoordinator
+from repro.experiments.runner import ExperimentContext
+
+spawn = FabricCoordinator._spawn
+
+def announce(self, name):
+    spawn(self, name)
+    print(self._workers[name].process.pid, flush=True)
+
+FabricCoordinator._spawn = announce
+parallel.run_cell = lambda payload: time.sleep(600)
+ctx = ExperimentContext(SystemConfig.paper_scaled(1 / 64), jobs=2,
+                        seed=1, ops_scale=0.05)
+ctx.run_many([("CoMD", "sw"), ("CoMD", "hmg")])
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+class TestWorkerLifetime:
+    """Local workers live for the sweep: forked at its first batch,
+    dismissed when it closes, never left behind."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        from repro.experiments.fabric import FabricCoordinator
+
+        names = []
+        spawn = FabricCoordinator._spawn
+
+        def counting(coordinator, name):
+            names.append(name)
+            spawn(coordinator, name)
+
+        monkeypatch.setattr(FabricCoordinator, "_spawn", counting)
+        return names
+
+    def test_one_spawn_per_worker_per_sweep(self, spawned):
+        import multiprocessing
+
+        ctx = ExperimentContext(CFG, workloads=WORKLOADS, jobs=2, **QUICK)
+        for workload in WORKLOADS:  # two batches
+            ctx.run_many([(workload, "sw"), (workload, "hmg")])
+        assert spawned == ["local-0", "local-1"]
+        assert ctx._executor.fabric_stats.cells == 4
+        ctx.close()
+        assert multiprocessing.active_children() == []
+        # A closed context stays usable and forks afresh.
+        ctx.run_many([("CoMD", "nhcc"), ("mst", "nhcc")])
+        assert len(spawned) == 4
+        ctx.close()
+        assert multiprocessing.active_children() == []
+
+    def test_warm_replay_spawns_none(self, spawned, tmp_path):
+        grid = [(w, p) for w in WORKLOADS for p in PROTOCOLS]
+        ExperimentContext(CFG, store=tmp_path / "s", **QUICK).run_many(grid)
+        warm = ExperimentContext(CFG, jobs=2, store=tmp_path / "s",
+                                 **QUICK)
+        warm.run_many(grid)
+        assert warm.store.hits == len(grid)
+        assert spawned == []
+
+    def test_collected_executor_dismisses_its_workers(self):
+        import gc
+
+        ctx = ExperimentContext(CFG, jobs=2, **QUICK)
+        ctx.run_many([("CoMD", "sw"), ("CoMD", "hmg")])
+        processes = [w.process for w in
+                     ctx._executor.coordinator()._workers.values()]
+        assert len(processes) == 2
+        del ctx
+        gc.collect()
+        assert not any(process.is_alive() for process in processes)
+
+    def test_cli_leaves_no_child_process(self, capsys):
+        import multiprocessing
+
+        assert cli.main(["fig8", "--scale", str(1 / 64), "--ops-scale",
+                         "0.05", "--workloads", *WORKLOADS, "--jobs", "2",
+                         "--no-registry"]) == 0
+        capsys.readouterr()
+        assert multiprocessing.active_children() == []
+
+    def test_sigkilled_sweep_leaves_no_worker(self):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.Popen([sys.executable, "-c", _HANGING_SWEEP],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        pids = []
+        try:
+            pids = [int(proc.stdout.readline()) for _ in range(2)]
+            time.sleep(0.5)  # mid-batch: each worker holds a lease
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while any(_alive(pid) for pid in pids):
+                assert time.monotonic() < deadline, \
+                    "workers outlived their sweep"
+                time.sleep(0.1)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -9,9 +9,9 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.experiments import store as store_mod
+from repro.experiments.chaos import truncate_tail
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.store import ResultStore
-from repro.faults.chaos import truncate_tail
 
 CFG = SystemConfig.paper_scaled(1 / 64)
 QUICK = dict(seed=1, ops_scale=0.05)
@@ -88,6 +88,20 @@ class TestStoreKey:
         engine.write_bytes(engine.read_bytes().replace(b"\n", b" \n", 1))
         store_mod._running_source.cache_clear()
         assert _key() != before
+
+    def test_chaos_edit_keeps_source_fingerprint(self, tmp_path):
+        """The chaos adversary attacks the orchestration, never a
+        simulated result, so editing it invalidates no stored cell."""
+        from repro.experiments import chaos
+
+        package = store_mod._PACKAGE
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = store_mod.source_fingerprint(copy)
+        module = copy / Path(chaos.__file__).resolve().relative_to(package)
+        module.write_bytes(module.read_bytes() + b"# edited\n")
+        assert store_mod.source_fingerprint(copy) == before
 
 
 class TestRoundTrip:
@@ -195,7 +209,7 @@ class TestContextIntegration:
         stats = warm.store.stats()
         hit_rate = stats["hits"] / (stats["hits"] + stats["misses"])
         assert hit_rate >= 0.9
-        assert warm._executor.cells_run == 0  # zero re-simulation
+        assert stats["puts"] == 0  # zero re-simulation
         assert [r.cycles for r in warm_results] == [
             r.cycles for r in cold_results
         ]
